@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,9 @@ _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 _EXP_CUTOFF = 45.0      # discount exponent beyond which contributions are dropped
 _MAX_EXP_STEP = 0.25    # max exponent variation per quadrature sub-interval
 
-_CACHE: "weakref.WeakKeyDictionary[PdmpModel, dict]" = weakref.WeakKeyDictionary()
+_CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
+
+_CACHE: "weakref.WeakKeyDictionary[PdmpModel, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
 def _hazard_at(model: PdmpModel, coords: np.ndarray, mode: int, ts: np.ndarray) -> np.ndarray:
@@ -116,9 +119,10 @@ def _row(model: PdmpModel, coords: np.ndarray, mode: int, lam: float):
 def _matrices(model: PdmpModel, lam: float):
     """Sparse R0 matrices for (model, lam): interior->interior,
     boundary->interior, interior->outflow trace, boundary->outflow trace."""
-    per_model = _CACHE.setdefault(model, {})
+    per_model = _CACHE.setdefault(model, OrderedDict())
     key = float(lam)
     if key in per_model:
+        per_model.move_to_end(key)
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
@@ -150,6 +154,8 @@ def _matrices(model: PdmpModel, lam: float):
         m_out = sparse.csr_matrix((0, n))
         b_out = sparse.csr_matrix((0, n_minus))
     per_model[key] = (m_int, b_int, m_out, b_out)
+    if len(per_model) > _CACHE_PER_MODEL:
+        per_model.popitem(last=False)
     return per_model[key]
 
 

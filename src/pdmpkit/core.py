@@ -406,10 +406,12 @@ def l1_distance(f: GridDensity, g: GridDensity) -> float:
 class FlowMap:
     """The deterministic flow with its cocycle and boundary hitting times.
 
-    All callables are vectorized: ``X`` is ``(n, dim)``, ``t`` a scalar or
-    ``(n,)`` array of signed times.  ``hit_plus``/``hit_minus`` return the
-    forward/backward time to the outgoing/incoming boundary (``inf`` when
-    that boundary is never hit, 0 on the respective boundary).
+    All callables take the points of one mode as an ``(n, dim)`` array ``X``
+    and return one value per row: ``phi(t, X, mode) -> (n, dim)``,
+    ``jac(t, X, mode) -> (n,)`` with ``t`` a scalar or ``(n,)`` array of
+    signed times, and ``hit_plus(X, mode)``/``hit_minus(X, mode) -> (n,)``,
+    the forward/backward time to the outgoing/incoming boundary (``inf``
+    when that boundary is never hit, 0 on the respective boundary).
     """
 
     phi: Callable[[np.ndarray | float, np.ndarray, int], np.ndarray]
@@ -427,9 +429,15 @@ class JumpLaw:
     density) and return the interior / inflow-boundary part of the post-jump
     density.  Both are linear and positivity preserving; for a conservative
     kernel they jointly preserve mass.
+
+    ``sample(X, mode, rng) -> (X', modes')`` draws one post-jump state for
+    each row of the ``(n, dim)`` pre-jump array ``X`` (all rows in ``mode``;
+    a row on the outgoing boundary takes a boundary jump): ``X'`` is
+    ``(n, dim)`` and ``modes'`` an ``(n,)`` integer array.  A sampler that
+    takes no jump from some row raises :class:`ModelError`.
     """
 
-    sample: Callable[[np.ndarray, int, np.random.Generator], StatePoint]
+    sample: Callable[[np.ndarray, int, np.random.Generator], tuple]
     p0: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p_partial: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conservative: bool = True
@@ -459,6 +467,11 @@ class PdmpModel:
 
     ``eq=False`` keeps identity hashing so models can key caches of
     precomputed quadrature matrices.
+
+    The per-point callables follow the array contract of :class:`FlowMap`:
+    ``rate(X, mode)``, ``inverse_hazard(X, mode, xi)`` (``xi`` an ``(n,)``
+    array) and ``in_state_space(X, mode)`` each return one value per row of
+    ``X``.  The Monte Carlo engine needs every mode to share one dimension.
     """
 
     name: str
@@ -472,11 +485,16 @@ class PdmpModel:
     # (X, mode, t) -> integral of the rate along [0, t]; vectorized like phi.
     cumulative_hazard: Optional[Callable[[np.ndarray, int, np.ndarray | float], np.ndarray]] = None
     # optional closed-form inverse of the cumulative hazard:
-    # (X, mode, xi) -> smallest t with hazard(t) = xi (may exceed hit_plus).
-    inverse_hazard: Optional[Callable[[np.ndarray, int, float], float]] = None
+    # (X, mode, xi) -> (n,) smallest t with hazard(t) = xi, inf when the
+    # hazard never gets there (may exceed hit_plus).  Without it the
+    # simulator finds each holding time by root finding.
+    inverse_hazard: Optional[Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None
     # backward orbit enumeration for line integrals; lam is the discount.
     backward_orbit: Optional[Callable[[np.ndarray, int, float], BackOrbit]] = None
-    in_state_space: Callable[[np.ndarray, int], bool] = lambda c, m: True
+    # (X, mode) -> (n,) bool: which rows lie in the state space
+    in_state_space: Callable[[np.ndarray, int], np.ndarray] = (
+        lambda X, m: np.ones(np.shape(X)[0], dtype=bool)
+    )
     # first interior cell along the entry characteristic of each Gamma- cell
     entry_cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     # time step used for one-sided trace extrapolation, per boundary cell
@@ -532,10 +550,10 @@ def advance(model: PdmpModel, x: StatePoint, t: float):
         if -t >= th:
             z = model.flow.phi(-th, X, x.mode)[0]
             return StatePoint(z, x.mode), "minus"
-    p = model.flow.phi(float(t), X, x.mode)[0]
-    if not model.in_state_space(p, x.mode):
+    P = model.flow.phi(float(t), X, x.mode)
+    if not model.in_state_space(P, x.mode)[0]:
         return OUT_OF_DOMAIN
-    return StatePoint(p, x.mode)
+    return StatePoint(P[0], x.mode)
 
 
 def cocycle(model: PdmpModel, x: StatePoint, t: float) -> float:

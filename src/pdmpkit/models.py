@@ -36,7 +36,6 @@ from .core import (
     ModeBlock,
     ModelError,
     PdmpModel,
-    StatePoint,
 )
 
 __all__ = [
@@ -132,15 +131,17 @@ def build_drift_redistribute(
         hit_minus = lambda X, mode: np.atleast_2d(X)[:, 0].copy()
         gamma_minus = BoundaryGrid(0, np.array([[0.0]]), np.array([1.0]))
         gamma_plus = BoundaryGrid(0, np.array([[1.0]]), np.array([1.0]))
-        in_space = lambda c, m: 0.0 <= c[0] <= 1.0
     else:
         inf_times = lambda X, mode: np.full(np.atleast_2d(X).shape[0], np.inf)
         hit_plus = hit_minus = inf_times
         gamma_minus = BoundaryGrid.empty(1, 0)
         gamma_plus = BoundaryGrid.empty(1, 0)
-        in_space = (lambda c, m: True) if variant == "m2" else (
-            lambda c, m: 0.0 <= c[0] <= 1.0
-        )
+
+    def in_space(X, mode):
+        x = X[:, 0]
+        if variant == "m2":
+            return np.ones(x.shape, dtype=bool)
+        return (0.0 <= x) & (x <= 1.0)
 
     qv = float(q) if variant == "m3" else 0.0
 
@@ -152,19 +153,20 @@ def build_drift_redistribute(
         t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         return qv * t
 
-    inverse_hazard = None
-    if qv > 0:
-        inverse_hazard = lambda coords, mode, xi: xi / qv
+    def inverse_hazard(X, mode, xi):
+        xi = np.asarray(xi, dtype=float)
+        return xi / qv if qv > 0 else np.full(xi.shape, np.inf)
 
     # jump law: uniform restart on (0,1); only m1 (from the boundary) and m3
     # (from the interior) ever jump
     domain_measure = float(grid.weights.sum())
     n_minus = gamma_minus.n_cells
 
-    def sample(coords, mode, rng):
+    def sample(X, mode, rng):
         if variant == "m2":
             raise ModelError("m2 has no jump mechanism")
-        return StatePoint(np.array([rng.random()]), 0)
+        n = X.shape[0]
+        return rng.random((n, 1)), np.zeros(n, dtype=np.int64)
 
     wplus = gamma_plus.weights
 
@@ -339,17 +341,18 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     if p.hazard_anti_inv is not None:
         Qi = p.hazard_anti_inv
 
-        def inverse_hazard(coords, mode, xi):
+        def inverse_hazard(X, mode, xi):
+            xi = np.asarray(xi, dtype=float)
             if mode != 0:
-                return math.inf
-            x = float(coords[0])
-            return float(G(Qi(Q(x) + xi)) - G(x))
+                return np.full(xi.shape, np.inf)
+            x = X[:, 0]
+            return np.asarray(G(Qi(Q(x) + xi)) - G(x), dtype=float)
 
-    def sample(coords, mode, rng):
-        x = float(coords[0])
-        if mode == 0:
-            return StatePoint(np.array([x, 0.0]), 1)
-        return StatePoint(np.array([x / 2.0, 0.0]), 0)
+    def sample(X, mode, rng):
+        # phase I -> phase II keeps the size; division halves it
+        out = np.zeros_like(X)
+        out[:, 0] = X[:, 0] if mode == 0 else X[:, 0] / 2.0
+        return out, np.full(X.shape[0], 1 - mode, dtype=np.int64)
 
     s0 = grid.block_slice(0)
     faces = xaxis.faces
@@ -438,12 +441,11 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
             orb.b_idx, orb.b_w = _interp_stencil(xc, w)
         return orb
 
-    def in_space(c, mode):
-        if c[0] <= 0:
-            return False
+    def in_space(X, mode):
+        x, y = X[:, 0], X[:, 1]
         if mode == 0:
-            return abs(c[1]) < 1e-12
-        return -1e-12 <= c[1] <= p.t_phase2 + 1e-12
+            return (x > 0) & (np.abs(y) < 1e-12)
+        return (x > 0) & (-1e-12 <= y) & (y <= p.t_phase2 + 1e-12)
 
     g_on_grid = np.asarray(p.growth(xc), dtype=float)
     min_cross = min(dx / float(np.max(g_on_grid)), dy)
@@ -729,6 +731,9 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     def v_index(v):
         return int(np.argmin(np.abs(vels - v)))
 
+    def v_indices(X):
+        return np.argmin(np.abs(X[:, 1][:, None] - vels[None, :]), axis=1)
+
     if p.kernel is not None:
         K = np.asarray(p.kernel, dtype=float)
         theta_v = K.T @ nu  # theta[v_in] = sum_out k[out, in] nu[out]
@@ -737,18 +742,17 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         theta_v = np.zeros(n_v)
 
     def rate(X, mode):
-        X = np.atleast_2d(X)
-        idx = np.argmin(np.abs(X[:, 1][:, None] - vels[None, :]), axis=1)
-        return theta_v[idx]
+        return theta_v[v_indices(np.atleast_2d(X))]
 
     def cumulative_hazard(X, mode, t):
         X = np.atleast_2d(X)
         t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         return rate(X, mode) * t
 
-    def inverse_hazard(coords, mode, xi):
-        th = theta_v[v_index(coords[1])]
-        return xi / th if th > 0 else math.inf
+    def inverse_hazard(X, mode, xi):
+        th = theta_v[v_indices(X)]
+        with np.errstate(divide="ignore"):
+            return np.where(th > 0, np.asarray(xi, dtype=float) / th, np.inf)
 
     # wall operator as a density-level matrix Hm: (gamma-) <- (gamma+)
     if isinstance(p.boundary, str) and p.boundary == "specular":
@@ -775,22 +779,30 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     if np.any(col_mass > 1.0 + 1e-9):
         raise ModelError("wall operator has norm > 1")
 
-    def sample(coords, mode, rng):
-        x, v = float(coords[0]), float(coords[1])
-        i = v_index(v)
-        on_wall = min(abs(x - 0.0), abs(x - L)) < 1e-9
-        if on_wall and abs(x - (L if v > 0 else 0.0)) < 1e-9:
-            probs = Hm[:, i] * bw / bw[i]
-            tot = probs.sum()
-            if tot < 1.0 - 1e-9:
-                raise ModelError("sampling through a mass-losing wall is not supported")
-            j = rng.choice(n_v, p=probs / tot)
-            return StatePoint(np.array([gamma_minus.points[j, 0], vels[j]]), 0)
-        if K is None or theta_v[i] <= 0:
-            raise ModelError(f"no jump mechanism at ({x}, {v})")
-        probs = K[:, i] * nu / theta_v[i]
-        j = rng.choice(n_v, p=probs / probs.sum())
-        return StatePoint(np.array([x, vels[j]]), 0)
+    # post-jump velocity laws, one CDF row per pre-jump velocity: through
+    # the wall the jump starts on, and by collision
+    def cdf_rows(probs):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return (np.cumsum(probs, axis=0) / probs.sum(axis=0)).T
+
+    wall_cdf = cdf_rows(Hm * bw[:, None] / bw[None, :])
+    coll_cdf = wall_cdf if K is None else cdf_rows(K * nu[:, None])
+    wall_out = np.where(vels > 0, L, 0.0)
+
+    def sample(X, mode, rng):
+        x = X[:, 0]
+        i = v_indices(X)
+        at_wall = np.abs(x - wall_out[i]) < 1e-9
+        if np.any(col_mass[i[at_wall]] < 1.0 - 1e-9):
+            raise ModelError("sampling through a mass-losing wall is not supported")
+        stuck = np.flatnonzero(~at_wall & (theta_v[i] <= 0))
+        if stuck.size:
+            r = stuck[0]
+            raise ModelError(f"no jump mechanism at ({x[r]}, {X[r, 1]})")
+        cdf = np.where(at_wall[:, None], wall_cdf[i], coll_cdf[i])
+        j = np.minimum((cdf <= rng.random(x.size)[:, None]).sum(axis=1), n_v - 1)
+        out = np.column_stack([np.where(at_wall, gamma_minus.points[j, 0], x), vels[j]])
+        return out, np.zeros(x.size, dtype=np.int64)
 
     def p0(h_int, h_plus):
         if K is None:
@@ -856,7 +868,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         cumulative_hazard=cumulative_hazard,
         inverse_hazard=inverse_hazard,
         backward_orbit=backward_orbit,
-        in_state_space=lambda c, m: 0.0 <= c[0] <= L,
+        in_state_space=lambda X, m: (0.0 <= X[:, 0]) & (X[:, 0] <= L),
         entry_cells=entry,
         trace_step_plus=dx / np.abs(vels),
         trace_step_minus=dx / np.abs(vels),

@@ -60,9 +60,10 @@ def transport_step(model: PdmpModel, f: GridDensity, dt: float) -> GridDensity:
         vals = model.grid.interpolate(f.values, back, mode)
         vals = vals * np.asarray(model.flow.jac(-dt, X, mode), dtype=float)
         vals = vals * _backward_survival(model, X, mode, dt)
-        # cells whose backward orbit crossed the inflow boundary have left E
+        # cells whose backward orbit crossed the inflow boundary have left E;
+        # a center exactly dt from the wall is kept whichever way it rounds
         tminus = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
-        vals[tminus < dt] = 0.0
+        vals[tminus < dt * (1 - 1e-9)] = 0.0
         out[model.grid.block_slice(mode)] = vals
     return GridDensity(model.grid, np.maximum(out, 0.0))
 

@@ -2,19 +2,18 @@
 
 Holding times are sampled exactly from the survival function: a unit
 exponential is compared against the cumulative hazard along the flow, with
-the forced cut-off at the outgoing boundary.  Ensemble density estimates are
-histograms of final states; per-path generators are derived from
-(seed, path index) so results are reproducible and independent of how paths
-are distributed over workers.
+the forced cut-off at the outgoing boundary.  ``simulate_path`` follows one
+trajectory event by event.  Ensemble density estimates are histograms of
+final states from a batched engine that advances all paths of a chunk
+together; each chunk has one generator derived from (seed, chunk index), so
+results depend only on (seed, n_paths, grid) and the inputs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +37,8 @@ __all__ = [
     "step",
     "simulate_path",
     "sample_from_density",
+    "Ensemble",
+    "simulate_ensemble",
     "estimate_density",
 ]
 
@@ -72,6 +73,38 @@ class Path:
         return knots
 
 
+def _numeric_holding(model: PdmpModel, x: StatePoint, xi: float, tp: float) -> float:
+    """Time at which the hazard along the orbit from x reaches xi, by root
+    finding, for models without a closed-form inverse hazard.  Returns tp
+    when the outgoing boundary comes first and inf when the hazard never
+    reaches xi."""
+    if np.isfinite(tp):
+        if hazard_integral(model, x, tp) <= xi:
+            return tp
+        return invert_hazard(model, x, xi, tp)
+    # open-ended orbit: bracket the crossing by doubling, detect a hazard
+    # plateau below xi as an infinite holding time
+    t, prev = 1.0, 0.0
+    for _ in range(200):
+        h = hazard_integral(model, x, t)
+        if h >= xi:
+            return invert_hazard(model, x, xi, t)
+        if t > 1e6 and h - prev < 1e-12:
+            return math.inf
+        prev, t = h, 2.0 * t
+    return math.inf
+
+
+def _hazard_crossings(model: PdmpModel, X: np.ndarray, mode: int, xi: np.ndarray,
+                      tp: np.ndarray) -> np.ndarray:
+    """Times at which the hazard from each row of X reaches xi (see
+    :func:`_numeric_holding`); a time >= tp means the boundary comes first."""
+    if model.inverse_hazard is not None:
+        return np.asarray(model.inverse_hazard(X, mode, xi), dtype=float)
+    return np.array([_numeric_holding(model, StatePoint(x, mode), float(e), float(h))
+                     for x, e, h in zip(X, xi, tp)])
+
+
 def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
     """Holding time in the current flow segment.
 
@@ -82,26 +115,10 @@ def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
     """
     xi = rng.exponential()
     tp = hitting_time(model, x, "forward")
-    if model.inverse_hazard is not None:
-        s = model.inverse_hazard(x.coords, x.mode, xi)
-        if s >= tp:
-            return (tp, "boundary-hit") if np.isfinite(tp) else (math.inf, "never")
-        return s, "rate-jump"
-    if np.isfinite(tp):
-        if hazard_integral(model, x, tp) <= xi:
-            return tp, "boundary-hit"
-        return invert_hazard(model, x, xi, tp), "rate-jump"
-    # open-ended orbit: bracket the crossing by doubling, detect a hazard
-    # plateau below xi as an infinite holding time
-    t, prev = 1.0, 0.0
-    for _ in range(200):
-        h = hazard_integral(model, x, t)
-        if h >= xi:
-            return invert_hazard(model, x, xi, t), "rate-jump"
-        if t > 1e6 and h - prev < 1e-12:
-            return math.inf, "never"
-        prev, t = h, 2.0 * t
-    return math.inf, "never"
+    s = _hazard_crossings(model, x.coords[None, :], x.mode, np.array([xi]), np.array([tp]))[0]
+    if s >= tp:
+        return (tp, "boundary-hit") if np.isfinite(tp) else (math.inf, "never")
+    return float(s), "rate-jump"
 
 
 def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 0.0) -> PathEvent:
@@ -121,12 +138,8 @@ def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 
         if pre is OUT_OF_DOMAIN:
             raise ModelError(f"flow left the chart before the sampled jump at t={t0 + sigma}")
         cause_out = "rate-jump"
-    post = model.jump.sample(pre.coords, pre.mode, rng)
-    if not model.in_state_space(post.coords, post.mode):
-        raise ModelError(
-            f"jump sampler of {model.name!r} left the state space: {pre} -> {post}"
-        )
-    return PathEvent(t0 + sigma, cause_out, pre, post)
+    X, modes = _sample_jumps(model, pre.coords[None, :], pre.mode, rng)
+    return PathEvent(t0 + sigma, cause_out, pre, StatePoint(X[0], int(modes[0])))
 
 
 def simulate_path(
@@ -160,38 +173,185 @@ def simulate_path(
             return Path(x0, tuple(events), None, censored=True)
 
 
+def _sample_states(density: GridDensity, n: int, rng: np.random.Generator):
+    """n states drawn from a piecewise-constant density: cells by mass
+    (searchsorted on the cell CDF), then uniform offsets within each cell's
+    continuous extent.  Returns (X, modes); X has as many columns as the
+    widest mode."""
+    grid = density.grid
+    cdf = np.cumsum(density.values * grid.weights)
+    if cdf.size == 0 or cdf[-1] <= 0:
+        raise ValueError("cannot sample from a zero density")
+    cdf /= cdf[-1]
+    cells = np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), cdf.size - 1)
+    offsets = rng.random((n, max(b.dim for b in grid.blocks)))
+    X = np.zeros(offsets.shape)
+    modes = np.empty(n, dtype=np.int64)
+    for block in grid.blocks:
+        off = grid.offsets[block.mode]
+        rows = np.flatnonzero((cells >= off) & (cells < off + block.n_cells))
+        modes[rows] = block.mode
+        local = np.unravel_index(cells[rows] - off, block.shape)
+        for k, ax in enumerate(block.axes):
+            if isinstance(ax, ContinuousAxis):
+                X[rows, k] = ax.faces[local[k]] + ax.dx * offsets[rows, k]
+            else:
+                X[rows, k] = ax.values[local[k]]
+    return X, modes
+
+
 def sample_from_density(model: PdmpModel, density: GridDensity, rng: np.random.Generator) -> StatePoint:
     """Draw a state from a piecewise-constant density: pick a cell by mass,
     then uniformly within its continuous extent."""
-    probs = density.values * density.grid.weights
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("cannot sample from a zero density")
-    cell = rng.choice(probs.size, p=probs / total)
-    for block in density.grid.blocks:
-        off = density.grid.offsets[block.mode]
-        if off <= cell < off + block.n_cells:
-            local = np.unravel_index(cell - off, block.shape)
-            coords = np.empty(block.dim)
-            for k, ax in enumerate(block.axes):
-                if isinstance(ax, ContinuousAxis):
-                    coords[k] = ax.faces[local[k]] + ax.dx * rng.random()
-                else:
-                    coords[k] = ax.values[local[k]]
-            return StatePoint(coords, block.mode)
-    raise AssertionError("unreachable")
+    X, modes = _sample_states(density, 1, rng)
+    mode = int(modes[0])
+    return StatePoint(X[0, : density.grid.block(mode).dim], mode)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PDMP_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+def _sample_jumps(model: PdmpModel, X: np.ndarray, mode: int, rng: np.random.Generator):
+    """Post-jump states (X', modes') of the rows of X, all in ``mode``;
+    refuses post-jump states outside the state space."""
+    Xn, modes = model.jump.sample(X, mode, rng)
+    Xn = np.asarray(Xn, dtype=float)
+    modes = np.asarray(modes, dtype=np.int64)
+    if Xn.ndim != 2 or Xn.shape[0] != X.shape[0] or modes.shape != (X.shape[0],):
+        raise ModelError(
+            f"jump sampler of {model.name!r} returned shapes {Xn.shape} and {modes.shape} "
+            f"for {X.shape[0]} pre-jump states"
+        )
+    post_modes = sorted(set(modes.tolist()))
+    for m in post_modes:
+        if model.grid.block(m).dim != Xn.shape[1]:
+            raise ModelError(
+                f"jump sampler of {model.name!r} returned {Xn.shape[1]}-d states in mode {m}"
+            )
+        ok = np.asarray(model.in_state_space(Xn if len(post_modes) == 1 else Xn[modes == m], m))
+        if not ok.all():
+            bad = np.flatnonzero(modes == m)[np.argmin(ok)]
+            raise ModelError(
+                f"jump sampler of {model.name!r} left the state space: "
+                f"{StatePoint(X[bad], mode)} -> {StatePoint(Xn[bad], m)}"
+            )
+    return Xn, modes
 
 
-_CHUNK = 1000  # fixed chunk size keeps the reduction order worker-independent
+_CHUNK = 1000  # paths per generator; fixes the draw order for a given seed
+
+
+class Ensemble(NamedTuple):
+    """Where a batch of simulated paths ended."""
+
+    counts: np.ndarray  # paths ending in each interior cell
+    censored: int  # paths stopped at max_jumps before the horizon
+    left_grid: int  # paths ending outside the gridded window
+
+
+def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
+               rng: np.random.Generator, max_jumps: int) -> np.ndarray:
+    """Advance paths started at (X, modes) to time t, in place, one event
+    round at a time: every live path draws its next holding time, paths
+    whose next event falls past t flow to t and retire, the others flow to
+    the jump point and jump.  Returns the mask of paths censored at
+    max_jumps."""
+    n = X.shape[0]
+    clock = np.zeros(n)
+    jumps = np.zeros(n, dtype=np.int64)
+    censored = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    while live.size:
+        xi = rng.exponential(size=live.size)
+        live_modes = modes[live]
+        jumped = []
+        for m in np.unique(live_modes):
+            m = int(m)
+            k = np.flatnonzero(live_modes == m)
+            rows = live[k]
+            Xm = X[rows]
+            tp = np.asarray(model.flow.hit_plus(Xm, m), dtype=float)
+            s = _hazard_crossings(model, Xm, m, xi[k], tp)
+            if np.isnan(s).any():
+                raise ModelError(f"holding time of {model.name!r} is NaN in mode {m}")
+            hit = s >= tp  # boundary first; with tp = inf, no event at all
+            sigma = np.where(hit, tp, s)
+            end = clock[rows] + sigma
+            go = end <= t
+            stay = ~go
+            if stay.any():
+                rem = t - clock[rows[stay]]
+                clamp = rem >= tp[stay]
+                final = model.flow.phi(np.where(clamp, tp[stay], rem), Xm[stay], m)
+                if not np.all(clamp | model.in_state_space(final, m)):
+                    raise ModelError("flow left the chart before the horizon")
+                X[rows[stay]] = final
+            if go.any():
+                r = rows[go]
+                pre = model.flow.phi(sigma[go], Xm[go], m)
+                inside = hit[go] | model.in_state_space(pre, m)
+                if not np.all(inside):
+                    raise ModelError(
+                        "flow left the chart before the sampled jump at "
+                        f"t={end[go][np.argmin(inside)]}"
+                    )
+                X[r], modes[r] = _sample_jumps(model, pre, m, rng)
+                clock[r] = end[go]
+                jumps[r] += 1
+                jumped.append(r)
+        if not jumped:
+            break
+        live = np.sort(np.concatenate(jumped))
+        cut = (jumps[live] >= max_jumps) & (clock[live] < t)
+        censored[live[cut]] = True
+        live = live[~cut]
+    return censored
+
+
+def simulate_ensemble(
+    model: PdmpModel,
+    init,
+    t: float,
+    n_paths: int,
+    seed: int,
+    max_jumps: int = 100_000,
+) -> Ensemble:
+    """Simulate n_paths paths to time t and count where they end.
+
+    ``init`` is a GridDensity or a StatePoint.  Paths are advanced together
+    in chunks of ``_CHUNK``, each chunk with one generator derived from
+    (seed, chunk index) and a fixed draw order, so the result depends only
+    on (seed, n_paths, grid) and the inputs.  A path is censored when its
+    max_jumps-th jump falls before t, the rule of :func:`simulate_path`.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if model.grid.n_cells == 0:
+        raise ValueError("model has an empty interior grid")
+    if t <= 0:
+        raise ValueError("horizon must be positive")
+    if max_jumps < 1:
+        raise ValueError("max_jumps must be at least 1")
+    dims = {b.dim for b in model.grid.blocks}
+    if len(dims) != 1:
+        raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
+                         "for all modes")
+    if isinstance(init, StatePoint) and init.dim != model.grid.block(init.mode).dim:
+        raise ModelError(f"initial point {init} does not match mode {init.mode} of {model.name!r}")
+    counts = np.zeros(model.grid.n_cells, dtype=np.int64)
+    censored = left = 0
+    for chunk, i0 in enumerate(range(0, n_paths, _CHUNK)):
+        n = min(_CHUNK, n_paths - i0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,)))
+        if isinstance(init, StatePoint):
+            X = np.tile(init.coords, (n, 1))
+            modes = np.full(n, init.mode, dtype=np.int64)
+        else:
+            X, modes = _sample_states(init, n, rng)
+        cut = _run_paths(model, X, modes, t, rng, max_jumps)
+        censored += int(cut.sum())
+        for m in np.unique(modes[~cut]):
+            idx = model.grid.locate(X[~cut & (modes == m)], int(m))
+            left += int((idx < 0).sum())
+            counts += np.bincount(idx[idx >= 0], minlength=counts.size)
+    return Ensemble(counts, censored, left)
 
 
 def estimate_density(
@@ -206,47 +366,10 @@ def estimate_density(
 
     ``init`` is a GridDensity or a StatePoint.  censored_mass counts paths
     censored at max_jumps plus paths whose final state falls outside the
-    gridded window — the lost mass of the substochastic evolution.  Results
-    are bit-identical for fixed (seed, n_paths, grid) regardless of
-    PDMP_THREADS.
+    gridded window — the lost mass of the substochastic evolution;
+    :func:`simulate_ensemble` reports the two apart.  Results depend only
+    on (seed, n_paths, grid) and the inputs.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if model.grid.n_cells == 0:
-        raise ValueError("model has an empty interior grid")
-    point_init = isinstance(init, StatePoint)
-
-    def run_chunk(bounds):
-        i0, i1 = bounds
-        counts = np.zeros(model.grid.n_cells, dtype=np.int64)
-        censored = 0
-        for i in range(i0, i1):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))
-            x0 = init if point_init else sample_from_density(model, init, rng)
-            path = simulate_path(model, x0, t, rng, max_jumps=max_jumps)
-            if path.censored:
-                censored += 1
-                continue
-            idx = model.grid.locate(path.final_state.coords[None, :], path.final_state.mode)[0]
-            if idx < 0:
-                censored += 1
-            else:
-                counts[idx] += 1
-        return counts, censored
-
-    chunks = [(i, min(i + _CHUNK, n_paths)) for i in range(0, n_paths, _CHUNK)]
-    counts = np.zeros(model.grid.n_cells, dtype=np.int64)
-    censored = 0
-    n_workers = _worker_count()
-    if n_workers == 1 or len(chunks) == 1:
-        results = map(run_chunk, chunks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-        results = pool.map(run_chunk, chunks)
-    for c, cen in results:  # fixed order: chunk index
-        counts += c
-        censored += cen
-    if n_workers > 1 and len(chunks) > 1:
-        pool.shutdown()
-    values = (counts / n_paths) / model.grid.weights
-    return GridDensity(model.grid, values), censored / n_paths
+    ens = simulate_ensemble(model, init, t, n_paths, seed, max_jumps)
+    values = (ens.counts / n_paths) / model.grid.weights
+    return GridDensity(model.grid, values), (ens.censored + ens.left_grid) / n_paths

@@ -16,7 +16,7 @@ from .core import (
     StatePoint,
 )
 from .semigroup import evolve, jump_terms, trace_minus, trace_plus, transport_step
-from .simulate import estimate_density, sample_from_density, simulate_path
+from .simulate import estimate_density, sample_from_density, simulate_ensemble, simulate_path
 
 __all__ = [
     "green_residual",
@@ -108,15 +108,10 @@ def duhamel_oracle(
     """
     if n_max not in (0, 1, 2):
         raise ValueError("n_max must be 0, 1, or 2")
-    # estimated mass of the neglected terms
-    exceed = 0
-    for i in range(tail_paths):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))
-        x0 = sample_from_density(model, f0.normalized(), rng)
-        path = simulate_path(model, x0, t, rng, max_jumps=n_max + 1)
-        if path.censored:
-            exceed += 1
-    tail = exceed / tail_paths
+    # estimated mass of the neglected terms: paths with more than n_max
+    # jumps before t
+    tail = simulate_ensemble(model, f0.normalized(), t, tail_paths, seed,
+                             max_jumps=n_max + 1).censored / tail_paths
     if tail >= max_tail:
         raise PdmpError(
             f"more-than-{n_max}-jump probability about {tail:.2e} at t={t}; "

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +52,6 @@ from pdmpkit.verify import (
     resolvent_duality,
     restrict_density,
 )
-
-warnings.filterwarnings("ignore", message="dt=.*exceeds half")
 
 
 def _report(num, label, ok, detail):

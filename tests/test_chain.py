@@ -17,6 +17,7 @@ from pdmpkit import (
     project_invariant,
     simulate_path,
 )
+from pdmpkit import chain
 from pdmpkit.simulate import sample_from_density
 
 
@@ -50,6 +51,18 @@ class TestR0:
         for lam in (0.0, 1.0, 5.0):
             r, _ = apply_R0(m3, DensityPair(f, np.zeros(0)), lam)
             np.testing.assert_allclose(r.values, f.values / (lam + q), rtol=1e-7)
+
+    def test_cache_keeps_at_most_eight_discounts(self):
+        m1 = build_drift_redistribute("m1", n_cells=100)
+        pair = uniform_pair(m1)
+        lams = [0.25 * k for k in range(1, 11)]
+        first = [apply_R0(m1, pair, lam)[0].values for lam in lams]
+        assert len(chain._CACHE[m1]) <= 8
+        # evicted discounts are rebuilt to the same matrices
+        again = [apply_R0(m1, pair, lam)[0].values for lam in lams]
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+        assert len(chain._CACHE[m1]) <= 8
 
     def test_discount_shrinks_mass_monotonically(self):
         m1 = build_drift_redistribute("m1", n_cells=100)

@@ -44,8 +44,9 @@ def exponential_growth_model(lo=0.5, hi=2.0, n=50):
     hit_minus = lambda X, mode: np.log(np.atleast_2d(X)[:, 0] / lo)
     rate = lambda X, mode: np.atleast_2d(X)[:, 0] ** 2
 
-    def sample(coords, mode, rng):
-        return StatePoint(np.array([lo + (hi - lo) * rng.random()]), 0)
+    def sample(X, mode, rng):
+        n = X.shape[0]
+        return lo + (hi - lo) * rng.random((n, 1)), np.zeros(n, dtype=np.int64)
 
     return PdmpModel(
         name="exp-growth",
@@ -57,7 +58,7 @@ def exponential_growth_model(lo=0.5, hi=2.0, n=50):
         jump=JumpLaw(sample=sample,
                      p0=lambda h, hp: np.zeros(grid.n_cells),
                      p_partial=lambda h, hp: np.zeros(1)),
-        in_state_space=lambda c, m: lo <= c[0] <= hi,
+        in_state_space=lambda X, m: (lo <= X[:, 0]) & (X[:, 0] <= hi),
     )
 
 

@@ -29,19 +29,19 @@ class TestDriftRedistribute:
 
     def test_m3_inverse_hazard(self):
         m = build_drift_redistribute("m3", q=4.0)
-        assert m.inverse_hazard(np.array([0.5]), 0, 2.0) == pytest.approx(0.5)
+        assert m.inverse_hazard(np.array([[0.5]]), 0, np.array([2.0]))[0] == pytest.approx(0.5)
 
     def test_m2_sampler_refuses(self):
         m = build_drift_redistribute("m2")
         with pytest.raises(ModelError):
-            m.jump.sample(np.array([1.0]), 0, np.random.default_rng(0))
+            m.jump.sample(np.array([[1.0]]), 0, np.random.default_rng(0))
 
     def test_m1_restart_lands_inside(self):
         m = build_drift_redistribute("m1")
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x = m.jump.sample(np.array([1.0]), 0, rng)
-            assert 0.0 <= x.coords[0] <= 1.0
+            X, modes = m.jump.sample(np.array([[1.0]]), 0, rng)
+            assert 0.0 <= X[0, 0] <= 1.0
 
 
 class TestCellCycleDivision:
@@ -95,15 +95,15 @@ class TestCellCycleModel:
 
     def test_phase_transition_keeps_size(self, model):
         rng = np.random.default_rng(3)
-        post = model.jump.sample(np.array([2.3, 0.0]), 0, rng)
-        assert post.mode == 1
-        np.testing.assert_allclose(post.coords, [2.3, 0.0])
+        X, modes = model.jump.sample(np.array([[2.3, 0.0]]), 0, rng)
+        assert modes[0] == 1
+        np.testing.assert_allclose(X[0], [2.3, 0.0])
 
     def test_division_halves_size(self, model):
         rng = np.random.default_rng(4)
-        post = model.jump.sample(np.array([3.0, 1.0]), 1, rng)
-        assert post.mode == 0
-        assert post.coords[0] == pytest.approx(1.5)
+        X, modes = model.jump.sample(np.array([[3.0, 1.0]]), 1, rng)
+        assert modes[0] == 0
+        assert X[0, 0] == pytest.approx(1.5)
 
     def test_rate_only_in_phase_one(self, model):
         r0 = model.rate(np.array([[2.0, 0.0]]), 0)
@@ -150,8 +150,8 @@ class TestKineticSlab:
     def test_specular_wall_flips_velocity(self):
         m = build_kinetic_slab(KineticSlabParams())
         rng = np.random.default_rng(5)
-        post = m.jump.sample(np.array([1.0, 1.0]), 0, rng)
-        np.testing.assert_allclose(post.coords, [1.0, -1.0])
+        X, modes = m.jump.sample(np.array([[1.0, 1.0]]), 0, rng)
+        np.testing.assert_allclose(X[0], [1.0, -1.0])
 
     def test_specular_needs_symmetric_velocities(self):
         with pytest.raises(ModelError):
@@ -180,7 +180,7 @@ class TestKineticSlab:
         n = 20_000
         for _ in range(n):
             x = 0.50 + 0.02 * rng.random()
-            post = m.jump.sample(np.array([x, 1.0]), 0, rng)
-            counts[m.grid.locate(post.coords[None, :], post.mode)[0]] += 1
+            X, modes = m.jump.sample(np.array([[x, 1.0]]), 0, rng)
+            counts[m.grid.locate(X, modes[0])[0]] += 1
         mc = counts / n / m.grid.weights
         assert float(np.abs(mc - predicted) @ m.grid.weights) < 0.05

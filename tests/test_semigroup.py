@@ -5,7 +5,9 @@ import pytest
 
 from pdmpkit import (
     GridDensity,
+    KineticSlabParams,
     build_drift_redistribute,
+    build_kinetic_slab,
     evolve,
     resolvent_G,
     trace_minus,
@@ -50,6 +52,15 @@ class TestTransport:
         one = transport_step(m1, f, 0.25)
         two = transport_step(m1, transport_step(m1, f, 0.1), 0.15)
         np.testing.assert_allclose(one.values, two.values, atol=1e-10)
+
+    @pytest.mark.parametrize("n_x", [100, 400, 1000])
+    def test_half_cell_step_keeps_the_slab_uniform(self, n_x):
+        # at dt = half a crossing time the first cell centers sit exactly dt
+        # from the inflow walls; rounding must not decide whether they stay
+        slab = build_kinetic_slab(KineticSlabParams(n_x=n_x))
+        u = GridDensity.uniform(slab.grid)
+        f = evolve(slab, u, 1.0, 0.5 * slab.min_crossing_time)
+        assert float(np.abs(f.values - u.values) @ slab.grid.weights) < 1e-9
 
     def test_dt_must_be_positive(self, m1):
         with pytest.raises(ValueError):

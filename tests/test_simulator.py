@@ -1,21 +1,28 @@
+import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pdmpkit import (
+    CellCycleParams,
     GridDensity,
+    KineticSlabParams,
     ModelError,
     StatePoint,
+    build_cell_cycle,
     build_drift_redistribute,
+    build_kinetic_slab,
     estimate_density,
     sample_holding,
     simulate_path,
     step,
 )
-from pdmpkit.simulate import sample_from_density
+from pdmpkit.core import ContinuousAxis, DiscreteAxis, InteriorGrid, ModeBlock
+from pdmpkit.simulate import sample_from_density, simulate_ensemble
+
+from test_core import exponential_growth_model
 
 
 @pytest.fixture
@@ -146,3 +153,106 @@ class TestEstimateDensity:
         f, censored = estimate_density(m2, StatePoint(np.array([4.5]), 0), 1.0, 200, 19)
         assert censored == 1.0
         assert f.total_mass == 0.0
+
+    def test_censoring_is_counted_apart_from_leaving_the_grid(self, m3):
+        init = GridDensity.uniform(m3.grid)
+        ens = simulate_ensemble(m3, init, 1.0, 2000, 23, max_jumps=3)
+        # P(N(1) >= 3) for a rate-2 Poisson count is 0.32
+        assert 0.25 < ens.censored / 2000 < 0.40
+        assert ens.left_grid == 0
+        assert ens.counts.sum() + ens.censored == 2000
+        _, censored = estimate_density(m3, init, 1.0, 2000, 23, max_jumps=3)
+        assert censored == ens.censored / 2000
+
+    def test_leaving_the_grid_is_not_censoring(self):
+        m2 = build_drift_redistribute("m2", n_cells=50, span=(0.0, 5.0))
+        ens = simulate_ensemble(m2, StatePoint(np.array([4.5]), 0), 1.0, 200, 19)
+        assert (ens.censored, ens.left_grid) == (0, 200)
+
+    def test_sampler_leaving_the_state_space_raises(self, m1):
+        def outside(X, mode, rng):
+            return np.full_like(X, 2.0), np.zeros(X.shape[0], dtype=np.int64)
+
+        bad = dataclasses.replace(m1, jump=dataclasses.replace(m1.jump, sample=outside))
+        with pytest.raises(ModelError):
+            estimate_density(bad, GridDensity.uniform(bad.grid), 2.0, 100, 3)
+
+    def test_flow_leaving_the_chart_raises(self):
+        m2 = build_drift_redistribute("m2", n_cells=50, span=(0.0, 5.0))
+        chart = dataclasses.replace(m2, in_state_space=lambda X, m: X[:, 0] <= 3.0)
+        with pytest.raises(ModelError):
+            estimate_density(chart, StatePoint(np.array([2.5]), 0), 1.0, 10, 3)
+
+
+def _coarse_bins(model, coarse):
+    """Coarse bin of each fine cell; the last bin collects paths that were
+    censored or left the grid."""
+    parts = [coarse.locate(b.centers, b.mode) for b in model.grid.blocks]
+    return np.concatenate(parts), coarse.n_cells
+
+
+def _scalar_counts(model, init, t, n_paths, seed, bins, n_bins):
+    counts = np.zeros(n_bins + 1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_paths):
+        path = simulate_path(model, sample_from_density(model, init, rng), t, rng)
+        cell = -1 if path.censored else model.grid.locate(
+            path.final_state.coords[None, :], path.final_state.mode)[0]
+        counts[bins[cell] if cell >= 0 else n_bins] += 1
+    return counts
+
+
+def _engine_counts(model, init, t, n_paths, seed, bins, n_bins):
+    ens = simulate_ensemble(model, init, t, n_paths, seed)
+    counts = np.bincount(bins, weights=ens.counts, minlength=n_bins)
+    return np.append(counts, ens.censored + ens.left_grid)
+
+
+def _cycle_case():
+    p = CellCycleParams(n_x=40, x_max=8.0, n_y=4)
+    size = ContinuousAxis.uniform(0.0, 8.0, 8)
+    coarse = InteriorGrid([ModeBlock(0, [size, DiscreteAxis([0.0], [1.0])]),
+                           ModeBlock(1, [size, ContinuousAxis.uniform(0.0, 1.0, 4)])])
+    return build_cell_cycle(p), coarse, 2.0
+
+
+def _slab_case():
+    vels = (-1.0, -0.5, 0.5, 1.0)
+    p = KineticSlabParams(n_x=20, velocities=vels, nu_weights=(1.0,) * 4,
+                          kernel=np.ones((4, 4)), boundary="diffuse")
+    coarse = InteriorGrid([ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 10),
+                                         DiscreteAxis(vels, (1.0,) * 4)])])
+    return build_kinetic_slab(p), coarse, 0.3
+
+
+def _m3_case():
+    coarse = InteriorGrid([ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 10)])])
+    return build_drift_redistribute("m3", n_cells=50, q=2.0), coarse, 0.5
+
+
+def _exp_growth_case():
+    model = exponential_growth_model(n=30)
+    coarse = InteriorGrid([ModeBlock(0, [ContinuousAxis.uniform(0.5, 2.0, 5)])])
+    return model, coarse, 0.5
+
+
+@pytest.mark.parametrize("case, n_paths", [
+    (_m3_case, 2000),
+    (_cycle_case, 2000),
+    (_slab_case, 2000),
+    (_exp_growth_case, 300),  # no inverse hazard: root finding in both engines
+])
+def test_batched_engine_samples_the_scalar_law(case, n_paths):
+    """Two-sample chi-square between the batched engine and a loop over the
+    scalar trajectory sampler, on coarse bins of X(t)."""
+    model, coarse, t = case()
+    # a ramp over the cell numbering, so that no model starts at equilibrium
+    init = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
+    bins, n_bins = _coarse_bins(model, coarse)
+    scalar = _scalar_counts(model, init, t, n_paths, 31, bins, n_bins)
+    batched = _engine_counts(model, init, t, 2 * n_paths, 37, bins, n_bins)
+    table = np.array([scalar, batched])
+    table = table[:, table.sum(axis=0) > 0]
+    assert table.shape[1] >= 3
+    p_value = stats.chi2_contingency(table)[1]
+    assert p_value > 1e-3
