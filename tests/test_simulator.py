@@ -153,6 +153,8 @@ class TestEstimateDensity:
         f, censored = estimate_density(m2, StatePoint(np.array([4.5]), 0), 1.0, 200, 19)
         assert censored == 1.0
         assert f.total_mass == 0.0
+        ens = simulate_ensemble(m2, StatePoint(np.array([4.5]), 0), 1.0, 200, 19)
+        assert (ens.censored, ens.left_grid) == (0, 200)
 
     def test_censoring_is_counted_apart_from_leaving_the_grid(self, m3):
         init = GridDensity.uniform(m3.grid)
@@ -163,11 +165,6 @@ class TestEstimateDensity:
         assert ens.counts.sum() + ens.censored == 2000
         _, censored = estimate_density(m3, init, 1.0, 2000, 23, max_jumps=3)
         assert censored == ens.censored / 2000
-
-    def test_leaving_the_grid_is_not_censoring(self):
-        m2 = build_drift_redistribute("m2", n_cells=50, span=(0.0, 5.0))
-        ens = simulate_ensemble(m2, StatePoint(np.array([4.5]), 0), 1.0, 200, 19)
-        assert (ens.censored, ens.left_grid) == (0, 200)
 
     def test_sampler_leaving_the_state_space_raises(self, m1):
         def outside(X, mode, rng):
