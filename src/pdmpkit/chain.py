@@ -28,14 +28,15 @@ import numpy as np
 from scipy import sparse
 
 from .core import (
+    EXPONENT_CUTOFF,
     ConvergenceError,
     DensityPair,
     DivergentIntegralError,
     GridDensity,
     NoInvariantDensityError,
     PdmpModel,
-    StatePoint,
-    hazard_integral,
+    gauss3,
+    orbit_hazard,
 )
 
 __all__ = [
@@ -48,26 +49,11 @@ __all__ = [
     "k_stochasticity_defect",
 ]
 
-_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
-_EXP_CUTOFF = 45.0      # discount exponent beyond which contributions are dropped
 _MAX_EXP_STEP = 0.25    # max exponent variation per quadrature sub-interval
 
 _CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
 
 _CACHE: "weakref.WeakKeyDictionary[PdmpModel, OrderedDict]" = weakref.WeakKeyDictionary()
-
-
-def _hazard_at(model: PdmpModel, coords: np.ndarray, mode: int, ts: np.ndarray) -> np.ndarray:
-    """Hazard integral along the backward orbit from coords, at times ts."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return ts.copy()
-    Xb = model.flow.phi(-ts, np.broadcast_to(coords, (ts.size, coords.size)), mode)
-    if model.cumulative_hazard is not None:
-        return np.asarray(model.cumulative_hazard(Xb, mode, ts), dtype=float)
-    return np.array(
-        [hazard_integral(model, StatePoint(Xb[i], mode), float(t)) for i, t in enumerate(ts)]
-    )
 
 
 def _row(model: PdmpModel, coords: np.ndarray, mode: int, lam: float):
@@ -77,43 +63,46 @@ def _row(model: PdmpModel, coords: np.ndarray, mode: int, lam: float):
         raise DivergentIntegralError(
             f"backward line integral diverges at {coords} (mode {mode}, discount {lam})"
         )
+
+    def hazard(ts):  # along the backward orbit from coords
+        X = np.broadcast_to(coords, (ts.size, coords.size))
+        return orbit_hazard(model, model.flow.phi(-ts, X, mode), mode, ts)
+
     t_faces = np.asarray(orb.t_faces, dtype=float)
-    hf = _hazard_at(model, coords, mode, t_faces)
-    exp_faces = lam * t_faces + hf
+    exp_faces = lam * t_faces + hazard(t_faces)
     cells = np.asarray(orb.cells)
     t0, t1 = t_faces[:-1], t_faces[1:]
-    keep = (cells >= 0) & (t1 > t0) & (exp_faces[:-1] < _EXP_CUTOFF)
+    keep = (cells >= 0) & (t1 > t0) & (exp_faces[:-1] < EXPONENT_CUTOFF)
     out_cells = cells[keep]
     out_w = np.zeros(0)
     if out_cells.size:
-        a0, a1 = t0[keep], t1[keep]
         de = np.maximum(exp_faces[1:][keep] - exp_faces[:-1][keep], 0.0)
         n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
-        total = int(n_sub.sum())
-        seg_id = np.repeat(np.arange(n_sub.size), n_sub)
-        starts = np.concatenate(([0], np.cumsum(n_sub)[:-1]))
-        k = np.arange(total) - starts[seg_id]
-        width = (a1 - a0)[seg_id] / n_sub[seg_id]
-        lo = a0[seg_id] + k * width
-        mid = lo + 0.5 * width
-        half = 0.5 * width
-        ts = (mid[:, None] + half[:, None] * _GL3_NODES).ravel()
-        X = np.broadcast_to(coords, (ts.size, coords.size))
-        jb = np.asarray(model.flow.jac(-ts, X, mode), dtype=float)
-        hb = _hazard_at(model, coords, mode, ts)
-        vals = np.exp(-(lam * ts + hb)) * jb
-        w_sub = half * (vals.reshape(-1, 3) @ _GL3_WEIGHTS)
-        out_w = np.bincount(seg_id, weights=w_sub, minlength=n_sub.size)
+
+        def integrand(ts):
+            X = np.broadcast_to(coords, (ts.size, coords.size))
+            jb = np.asarray(model.flow.jac(-ts, X, mode), dtype=float)
+            return np.exp(-(lam * ts + hazard(ts))) * jb
+
+        out_w = gauss3(t0[keep], t1[keep], n_sub, integrand)
     b_idx = np.zeros(0, dtype=np.int64)
     b_w = np.zeros(0)
     if orb.end == "boundary" and orb.b_idx.size:
         eb = exp_faces[-1]
-        if eb < _EXP_CUTOFF:
+        if eb < EXPONENT_CUTOFF:
             tb = t_faces[-1]
             jb = float(model.flow.jac(-tb, coords[None, :], mode)[0])
             b_idx = np.asarray(orb.b_idx, dtype=np.int64)
             b_w = math.exp(-eb) * jb * np.asarray(orb.b_w, dtype=float)
     return out_cells, out_w, b_idx, b_w
+
+
+def _csr(rows, n_cols: int):
+    """CSR matrix whose row r holds the (column indices, values) pair rows[r]."""
+    indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [idx for idx, _ in rows])
+    data = np.concatenate([np.zeros(0)] + [w for _, w in rows])
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
 
 
 def _matrices(model: PdmpModel, lam: float):
@@ -126,33 +115,15 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-    n = model.grid.n_cells
-    n_minus = model.gamma_minus.n_cells
-    n_plus = model.gamma_plus.n_cells
 
-    def build(points_by_mode, n_rows):
-        mi = sparse.lil_matrix((n_rows, n))
-        mb = sparse.lil_matrix((n_rows, max(n_minus, 1)))
-        r = 0
-        for mode, pts in points_by_mode:
-            for coords in pts:
-                cells, w, b_idx, b_w = _row(model, np.asarray(coords, dtype=float), mode, lam)
-                if cells.size:
-                    mi.rows[r] = cells.tolist()
-                    mi.data[r] = w.tolist()
-                if b_idx.size:
-                    mb.rows[r] = b_idx.tolist()
-                    mb.data[r] = b_w.tolist()
-                r += 1
-        return mi.tocsr(), mb.tocsr()[:, :n_minus] if n_minus else sparse.csr_matrix((n_rows, 0))
+    def build(points_by_mode):
+        rows = [_row(model, np.asarray(coords, dtype=float), mode, lam)
+                for mode, pts in points_by_mode for coords in pts]
+        return (_csr([r[:2] for r in rows], model.grid.n_cells),
+                _csr([r[2:] for r in rows], model.gamma_minus.n_cells))
 
-    interior_pts = [(b.mode, b.centers) for b in model.grid.blocks]
-    m_int, b_int = build(interior_pts, n)
-    if n_plus:
-        m_out, b_out = build([(model.gamma_plus.mode, model.gamma_plus.points)], n_plus)
-    else:
-        m_out = sparse.csr_matrix((0, n))
-        b_out = sparse.csr_matrix((0, n_minus))
+    m_int, b_int = build((b.mode, b.centers) for b in model.grid.blocks)
+    m_out, b_out = build([(model.gamma_plus.mode, model.gamma_plus.points)])
     per_model[key] = (m_int, b_int, m_out, b_out)
     if len(per_model) > _CACHE_PER_MODEL:
         per_model.popitem(last=False)
@@ -180,10 +151,7 @@ def apply_R0(model: PdmpModel, pair: DensityPair, lam: float = 0.0):
 def apply_K(model: PdmpModel, pair: DensityPair, lam: float = 0.0) -> DensityPair:
     """One step of the (discounted) embedded jump chain on densities."""
     r_int, r_out = apply_R0(model, pair, lam)
-    h_int = model.rate_values() * r_int.values
-    new_int = model.jump.p0(h_int, r_out)
-    new_b = model.jump.p_partial(h_int, r_out)
-    return DensityPair(GridDensity(model.grid, new_int), new_b)
+    return model.post_jump(model.rate_values() * r_int.values, r_out)
 
 
 @dataclass
@@ -193,13 +161,6 @@ class InvariantResult:
     increment: float   # final L1 Cauchy increment between normalized sweeps
     mass_ratio: float  # |K pair| / |pair| at the fixed point (1 when stochastic)
     residual: float    # L1 distance between normalize(K pair) and pair
-
-
-def _pair_l1(a: DensityPair, b: DensityPair, wm, wb) -> float:
-    d = float(np.abs(a.interior.values - b.interior.values) @ wm)
-    if wb.size:
-        d += float(np.abs(a.boundary - b.boundary) @ wb)
-    return d
 
 
 def invariant_of_K(
@@ -226,8 +187,6 @@ def invariant_of_K(
     if norm <= 0:
         raise ValueError("initial pair must have positive mass")
     pair = init.scaled(1.0 / norm)
-    wm = model.grid.weights
-    wb = model.gamma_minus.weights
     increment = math.inf
     for it in range(1, max_iters + 1):
         swept = apply_K(model, pair, 0.0)
@@ -245,12 +204,12 @@ def invariant_of_K(
             damping * swept.boundary + (1.0 - damping) * pair.boundary,
         )
         mixed = mixed.scaled(1.0 / mixed.norm(model))
-        increment = _pair_l1(mixed, pair, wm, wb)
+        increment = mixed.l1(pair, model)
         pair = mixed
         if increment < tol:
             final = apply_K(model, pair, 0.0)
             mass = final.norm(model)
-            residual = _pair_l1(final.scaled(1.0 / mass), pair, wm, wb)
+            residual = final.scaled(1.0 / mass).l1(pair, model)
             return InvariantResult(pair, it, increment, mass, residual)
     raise ConvergenceError(
         f"jump-chain power iteration on {model.name!r} did not converge "
@@ -288,10 +247,7 @@ def project_invariant(model: PdmpModel, f_star: GridDensity) -> DensityPair:
         raise ValueError(
             f"no jump activity under the given density on {model.name!r} (c* = {c_star})"
         )
-    return DensityPair(
-        GridDensity(model.grid, model.jump.p0(h_int, h_plus) / c_star),
-        model.jump.p_partial(h_int, h_plus) / c_star,
-    )
+    return model.post_jump(h_int, h_plus).scaled(1.0 / c_star)
 
 
 def k_stochasticity_defect(model: PdmpModel, pair: DensityPair) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import chain, semigroup, verify
-from .core import GridDensity, PdmpError, StatePoint
+from .core import DensityPair, GridDensity, PdmpError, StatePoint
 from .models import (
     CellCycleParams,
     KineticSlabParams,
@@ -169,14 +169,7 @@ def _run(cfg: dict, subcommand: str):
             density, c = chain.lift_invariant(model, result.pair)
             residuals["lift_mass"] = c
             back = chain.project_invariant(model, density)
-            residuals["round_trip_l1"] = float(
-                np.abs(back.interior.values - result.pair.interior.values) @ model.grid.weights
-                + (
-                    np.abs(back.boundary - result.pair.boundary) @ model.gamma_minus.weights
-                    if result.pair.boundary.size
-                    else 0.0
-                )
-            )
+            residuals["round_trip_l1"] = back.l1(result.pair, model)
             masses = {"input": 1.0, "output": density.total_mass}
     elif subcommand == "resolvent":
         init = _initial_density(model, task)
@@ -197,8 +190,6 @@ def _run(cfg: dict, subcommand: str):
         residuals = {"terms": res.terms, "converged": res.converged, "tail_mass": res.tail_mass}
     elif subcommand == "verify":
         init = _initial_density(model, task)
-        from .core import DensityPair
-
         pair = DensityPair(init, np.zeros(model.gamma_minus.n_cells))
         try:
             residuals["k_defect"] = chain.k_stochasticity_defect(model, pair)

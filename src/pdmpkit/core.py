@@ -43,11 +43,20 @@ __all__ = [
     "JumpLaw",
     "BackOrbit",
     "PdmpModel",
+    "EXPONENT_CUTOFF",
     "advance",
     "cocycle",
     "hitting_time",
     "hazard_integral",
+    "orbit_hazard",
+    "gauss3",
 ]
+
+# discount exponent beyond which backward line integrals are truncated
+# (relative truncation error about e^-45, far below every tolerance here)
+EXPONENT_CUTOFF = 45.0
+
+_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 class PdmpError(Exception):
@@ -393,6 +402,13 @@ class DensityPair:
     def scaled(self, c: float) -> "DensityPair":
         return DensityPair(GridDensity(self.interior.grid, self.interior.values * c), self.boundary * c)
 
+    def l1(self, other: "DensityPair", model: "PdmpModel") -> float:
+        """L1 distance to another pair, interior plus inflow boundary."""
+        d = float(np.abs(self.interior.values - other.interior.values) @ model.grid.weights)
+        if self.boundary.size:
+            d += float(np.abs(self.boundary - other.boundary) @ model.gamma_minus.weights)
+        return d
+
 
 def l1_distance(f: GridDensity, g: GridDensity) -> float:
     return float(np.abs(f.values - g.values) @ f.grid.weights)
@@ -418,7 +434,6 @@ class FlowMap:
     jac: Callable[[np.ndarray | float, np.ndarray, int], np.ndarray]
     hit_plus: Callable[[np.ndarray, int], np.ndarray]
     hit_minus: Callable[[np.ndarray, int], np.ndarray]
-    divergence: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -428,7 +443,8 @@ class JumpLaw:
     ``p0``/``p_partial`` act on a pair (interior density, outflow-boundary
     density) and return the interior / inflow-boundary part of the post-jump
     density.  Both are linear and positivity preserving; for a conservative
-    kernel they jointly preserve mass.
+    kernel they jointly preserve mass.  :meth:`PdmpModel.post_jump` applies
+    the pair.
 
     ``sample(X, mode, rng) -> (X', modes')`` draws one post-jump state for
     each row of the ``(n, dim)`` pre-jump array ``X`` (all rows in ``mode``;
@@ -440,7 +456,6 @@ class JumpLaw:
     sample: Callable[[np.ndarray, int, np.random.Generator], tuple]
     p0: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p_partial: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    conservative: bool = True
 
 
 @dataclass
@@ -483,6 +498,7 @@ class PdmpModel:
     jump: JumpLaw
     # optional closed-form cumulative hazard along the forward orbit:
     # (X, mode, t) -> integral of the rate along [0, t]; vectorized like phi.
+    # Without it :func:`orbit_hazard` integrates the rate numerically.
     cumulative_hazard: Optional[Callable[[np.ndarray, int, np.ndarray | float], np.ndarray]] = None
     # optional closed-form inverse of the cumulative hazard:
     # (X, mode, xi) -> (n,) smallest t with hazard(t) = xi, inf when the
@@ -509,6 +525,15 @@ class PdmpModel:
         for b in self.grid.blocks:
             out[self.grid.block_slice(b.mode)] = self.rate(b.centers, b.mode)
         return out
+
+    def post_jump(self, h_int: np.ndarray, h_plus: np.ndarray) -> DensityPair:
+        """The jump law applied to a jump intensity: interior rate-jump
+        intensity ``h_int`` (per cell) and outflux ``h_plus`` (per outgoing
+        boundary cell) give the post-jump interior density and the influx
+        density on the incoming boundary."""
+        return DensityPair(
+            GridDensity(self.grid, self.jump.p0(h_int, h_plus)), self.jump.p_partial(h_int, h_plus)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -574,38 +599,56 @@ def hitting_time(model: PdmpModel, x: StatePoint, sign: str) -> float:
     raise ValueError("sign must be 'forward' or 'backward'")
 
 
+def orbit_hazard(model: PdmpModel, X: np.ndarray, mode: int, t) -> np.ndarray:
+    """Integral of the jump rate along the forward orbit from each row of X
+    over [0, t], with ``t`` a scalar or one time per row.
+
+    Uses the model's closed-form ``cumulative_hazard`` when it has one, else
+    adaptive quadrature row by row (raising :class:`ConvergenceError` when
+    that fails).  For the hazard along a backward orbit from x over [0, t],
+    pass the start points ``phi(-t, x)``.
+    """
+    if model.cumulative_hazard is not None:
+        return np.asarray(model.cumulative_hazard(X, mode, t), dtype=float)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
+    out = np.empty(X.shape[0])
+    for i, (x, ti) in enumerate(zip(X, ts)):
+        x = x[None, :]
+        rate_on_orbit = lambda s: float(model.rate(model.flow.phi(float(s), x, mode), mode)[0])
+        val, err = integrate.quad(rate_on_orbit, 0.0, ti, epsrel=1e-8, limit=200)
+        if err > 1e-6 * max(1.0, abs(val)):
+            raise ConvergenceError(
+                "hazard quadrature did not converge; supply cumulative_hazard for this model"
+            )
+        out[i] = val
+    return out
+
+
 def hazard_integral(model: PdmpModel, x: StatePoint, t: float) -> float:
     """Integral of the jump rate along the forward orbit over [0, t]."""
     _check_point(model, x)
     if t < 0:
         raise ValueError("hazard_integral requires t >= 0")
-    if model.cumulative_hazard is not None:
-        return float(np.asarray(model.cumulative_hazard(x.coords[None, :], x.mode, float(t))).ravel()[0])
-
-    def rate_on_orbit(s):
-        p = model.flow.phi(float(s), x.coords[None, :], x.mode)
-        return float(model.rate(p, x.mode)[0])
-
-    val, err = integrate.quad(rate_on_orbit, 0.0, t, epsrel=1e-8, limit=200)
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise ConvergenceError(
-            "hazard quadrature did not converge; supply cumulative_hazard for this model"
-        )
-    return val
+    return float(orbit_hazard(model, x.coords[None, :], x.mode, float(t)).ravel()[0])
 
 
-def backward_hazard(model: PdmpModel, coords: np.ndarray, mode: int, ts: np.ndarray) -> np.ndarray:
-    """Integral of the rate along the backward orbit, vectorized over ts."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if model.cumulative_hazard is None:
-        p = StatePoint(coords, mode)
-        out = np.empty(ts.shape)
-        for i, t in enumerate(ts):
-            y = model.flow.phi(-float(t), coords[None, :], mode)[0]
-            out[i] = hazard_integral(model, StatePoint(y, mode), float(t))
-        return out
-    Xb = model.flow.phi(-ts, np.broadcast_to(coords, (ts.size, coords.size)), mode)
-    return np.asarray(model.cumulative_hazard(Xb, mode, ts))
+def gauss3(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray, f) -> np.ndarray:
+    """Composite 3-point Gauss-Legendre integrals of f over the intervals
+    [a_i, b_i], each cut into n_sub_i equal sub-intervals.
+
+    ``f`` takes the flat array of all nodes and returns one value per node;
+    the result holds one integral per interval.  Exact for quintics.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n_sub = np.asarray(n_sub, dtype=np.int64)
+    seg = np.repeat(np.arange(n_sub.size), n_sub)
+    k = np.arange(seg.size) - (np.cumsum(n_sub) - n_sub)[seg]
+    width = (b - a)[seg] / n_sub[seg]
+    mid = a[seg] + k * width + 0.5 * width
+    half = 0.5 * width
+    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL3_NODES).ravel()), dtype=float)
+    return np.bincount(seg, weights=half * (vals.reshape(-1, 3) @ _GL3_WEIGHTS),
+                       minlength=n_sub.size)
 
 
 def invert_hazard(model: PdmpModel, x: StatePoint, xi: float, t_hi: float) -> float:

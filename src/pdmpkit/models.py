@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    EXPONENT_CUTOFF,
     BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
@@ -51,19 +52,28 @@ __all__ = [
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-# discount exponent beyond which backward line integrals are truncated
-# (relative truncation error about e^-45, far below every tolerance here)
-EXPONENT_CUTOFF = 45.0
+
+def _orbit(t_faces: np.ndarray, cells: np.ndarray, end: str, mu: float, stencil) -> BackOrbit:
+    """A backward orbit from its segment list, clipped where the discount
+    exponent mu*t reaches EXPONENT_CUTOFF (end "cutoff"); an orbit that
+    still ends on the incoming boundary carries ``stencil = (b_idx, b_w)``."""
+    if mu > 0 and t_faces[-1] > EXPONENT_CUTOFF / mu:
+        t_cut = EXPONENT_CUTOFF / mu
+        t_faces = np.append(t_faces[t_faces < t_cut], t_cut)
+        cells = cells[: t_faces.size - 1]
+        end = "cutoff"
+    orb = BackOrbit(t_faces, cells, end)
+    if end == "boundary":
+        orb.b_idx, orb.b_w = stencil
+    return orb
 
 
-def _truncate_orbit(t_faces: np.ndarray, cells: np.ndarray, t_cut: float):
-    """Clip an orbit's segment list at time t_cut; returns (t_faces, cells, clipped)."""
-    if t_faces[-1] <= t_cut:
-        return t_faces, cells, False
-    keep = t_faces < t_cut
-    t_faces = np.append(t_faces[keep], t_cut)
-    cells = cells[: t_faces.size - 1]
-    return t_faces, cells, True
+def _faces_below(faces: np.ndarray, x: float) -> np.ndarray:
+    """Interior faces of a uniform axis lying below x beyond rounding, in
+    increasing order; their count is the index of the cell holding x."""
+    j = min(int((x - faces[0]) / (faces[1] - faces[0])), faces.size - 2)
+    below = faces[1 : j + 1]
+    return below[below < x - 1e-14 * max(1.0, abs(x))]
 
 
 def _interp_stencil(centers: np.ndarray, w: float):
@@ -182,40 +192,24 @@ def build_drift_redistribute(
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
     faces = axis.faces
+    end = "boundary" if variant == "m1" else "domain"
+    stencil = (np.array([0]), np.array([1.0]))
 
     def backward_orbit(coords, mode, lam):
         x = float(coords[0])
         if variant == "m3":
             c = grid.locate(np.array([[x]]), 0)[0]
-            mu = lam + qv
-            if mu <= 0:
-                return BackOrbit(np.array([0.0]), np.zeros(0, dtype=np.int64), "divergent")
-            t_cut = EXPONENT_CUTOFF / mu
-            return BackOrbit(np.array([0.0, t_cut]), np.array([c]), "cutoff")
+            return _orbit(np.array([0.0, math.inf]), np.array([c]), "divergent", lam + qv, None)
         if x <= lo + 1e-15:
-            end = "boundary" if variant == "m1" else "domain"
-            orb = BackOrbit(np.array([0.0]), np.zeros(0, dtype=np.int64), end)
-            if variant == "m1":
-                orb.b_idx, orb.b_w = np.array([0]), np.array([1.0])
-            return orb
-        j = min(int((x - lo) / dx), n_cells - 1)
-        below = faces[1 : j + 1]
-        below = below[below < x - 1e-14 * max(1.0, abs(x))]
+            return _orbit(np.array([0.0]), np.zeros(0, dtype=np.int64), end, 0.0, stencil)
+        below = _faces_below(faces, x)
         t_faces = np.concatenate(([0.0], x - below[::-1], [x - lo]))
-        cells = np.arange(j, j - (t_faces.size - 1), -1, dtype=np.int64)
-        end = "boundary" if variant == "m1" else "domain"
-        clipped = False
-        if lam > 0:
-            t_faces, cells, clipped = _truncate_orbit(t_faces, cells, EXPONENT_CUTOFF / lam)
-        orb = BackOrbit(t_faces, cells, "cutoff" if clipped else end)
-        if orb.end == "boundary":
-            orb.b_idx, orb.b_w = np.array([0]), np.array([1.0])
-        return orb
+        cells = np.arange(below.size, -1, -1, dtype=np.int64)
+        return _orbit(t_faces, cells, end, lam, stencil)
 
     return PdmpModel(
         name=variant,
-        flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus,
-                     divergence=lambda X, mode: np.zeros(np.atleast_2d(X).shape[0])),
+        flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus),
         grid=grid,
         gamma_minus=gamma_minus,
         gamma_plus=gamma_plus,
@@ -388,21 +382,16 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
 
     def _x_crossings(x, t_max):
         """Times at which the backward size orbit from x crosses size faces."""
-        j = min(int(x / dx), n_x - 1) if x > 0 else -1
-        if j < 0:
-            return np.zeros(0), j
-        below = faces[1 : j + 1]
-        below = below[below < x - 1e-14 * max(1.0, abs(x))]
-        times = np.asarray(G(x) - G(below[::-1]), dtype=float)
-        return times[times < t_max], j
+        times = np.asarray(G(x) - G(_faces_below(faces, x)[::-1]), dtype=float)
+        return times[times < t_max]
 
     def backward_orbit(coords, mode, lam):
         x = float(coords[0])
         if mode == 0:
-            t_end = float(G(x) - g_lo) if np.isfinite(g_lo) else math.inf
-            times, j = _x_crossings(x, t_end if np.isfinite(t_end) else math.inf)
-            if j < 0:
+            if x <= 0:
                 return BackOrbit(np.array([0.0]), np.zeros(0, dtype=np.int64), "domain")
+            t_end = float(G(x) - g_lo) if np.isfinite(g_lo) else math.inf
+            times = _x_crossings(x, t_end)
             if np.isfinite(t_end):
                 t_faces = np.concatenate(([0.0], times, [t_end]))
                 end = "domain"
@@ -415,14 +404,10 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
             mids = 0.5 * (t_faces[:-1] + t_faces[1:])
             xm = np.asarray(Gi(G(x) - mids), dtype=float)
             cells = grid.locate(np.column_stack([xm, np.zeros_like(xm)]), 0)
-            if lam > 0:
-                t_faces, cells, clipped = _truncate_orbit(t_faces, cells, EXPONENT_CUTOFF / lam)
-                if clipped:
-                    end = "cutoff"
-            return BackOrbit(t_faces, cells, end)
+            return _orbit(t_faces, cells, end, lam, None)
         # mode 1: backward time y to the inflow boundary
         y = float(coords[1])
-        xtimes, _ = _x_crossings(x, y)
+        xtimes = _x_crossings(x, y)
         ytimes = y - yaxis.faces[1:-1][::-1]
         times = np.unique(np.concatenate([xtimes, ytimes[(ytimes > 0) & (ytimes < y)]]))
         t_faces = np.concatenate(([0.0], times, [y])) if y > 0 else np.array([0.0])
@@ -430,16 +415,8 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         mids = 0.5 * (t_faces[:-1] + t_faces[1:])
         pos = np.column_stack([np.asarray(Gi(G(x) - mids), dtype=float), y - mids])
         cells = grid.locate(pos, 1)
-        end = "boundary"
-        if lam > 0:
-            t_faces, cells, clipped = _truncate_orbit(t_faces, cells, EXPONENT_CUTOFF / lam)
-            if clipped:
-                end = "cutoff"
-        orb = BackOrbit(t_faces, cells, end)
-        if end == "boundary":
-            w = float(Gi(G(x) - y)) if y > 0 else x
-            orb.b_idx, orb.b_w = _interp_stencil(xc, w)
-        return orb
+        w = float(Gi(G(x) - y)) if y > 0 else x
+        return _orbit(t_faces, cells, "boundary", lam, _interp_stencil(xc, w))
 
     def in_space(X, mode):
         x, y = X[:, 0], X[:, 1]
@@ -818,18 +795,16 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
     faces = xaxis.faces
+    stencils = [(np.array([i]), np.array([1.0])) for i in range(n_v)]
 
     def backward_orbit(coords, mode, lam):
         x, v = float(coords[0]), float(coords[1])
         i = v_index(v)
-        mu = lam + theta_v[i]
         if v > 0:
             t_end = x / v
-            j = min(int(x / dx), n_x - 1)
-            below = faces[1 : j + 1]
-            below = below[below < x - 1e-14 * max(1.0, abs(x))]
+            below = _faces_below(faces, x)
             times = (x - below[::-1]) / v
-            cells = np.arange(j, j - (below.size + 1), -1, dtype=np.int64)
+            cells = np.arange(below.size, -1, -1, dtype=np.int64)
         else:
             s = -v
             t_end = (L - x) / s
@@ -838,18 +813,9 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
             above = above[above > x + 1e-14 * max(1.0, abs(x))]
             times = (above - x) / s
             cells = np.arange(j, j + above.size + 1, dtype=np.int64)
-        t_faces = np.concatenate(([0.0], times, [t_end]))
-        t_faces = np.unique(t_faces)
+        t_faces = np.unique(np.concatenate(([0.0], times, [t_end])))
         cells = cells[: t_faces.size - 1]
-        end = "boundary"
-        if mu > 0:
-            t_faces, cells, clipped = _truncate_orbit(t_faces, cells, EXPONENT_CUTOFF / mu)
-            if clipped:
-                end = "cutoff"
-        orb = BackOrbit(t_faces, cells * n_v + i, end)
-        if end == "boundary":
-            orb.b_idx, orb.b_w = np.array([i]), np.array([1.0])
-        return orb
+        return _orbit(t_faces, cells * n_v + i, "boundary", lam + theta_v[i], stencils[i])
 
     entry = np.array(
         [(0 if v > 0 else n_x - 1) * n_v + i for i, v in enumerate(vels)],
@@ -858,8 +824,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     return PdmpModel(
         name="kinetic_slab",
-        flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus,
-                     divergence=lambda X, mode: np.zeros(np.atleast_2d(X).shape[0])),
+        flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus),
         grid=grid,
         gamma_minus=gamma_minus,
         gamma_plus=gamma_plus,

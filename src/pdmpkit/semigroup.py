@@ -17,34 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GridDensity,
-    PdmpModel,
-    StatePoint,
-    hazard_integral,
-)
+from .core import DensityPair, GridDensity, PdmpModel, orbit_hazard
 
 __all__ = [
     "transport_step",
     "trace_plus",
     "trace_minus",
     "jump_terms",
+    "inject",
     "evolve",
     "resolvent_G",
     "ResolventResult",
 ]
-
-
-def _backward_survival(model: PdmpModel, X: np.ndarray, mode: int, dt: float) -> np.ndarray:
-    """exp(-hazard along the backward orbit over [0, dt]) at points X."""
-    back = model.flow.phi(-dt, X, mode)
-    if model.cumulative_hazard is not None:
-        h = np.asarray(model.cumulative_hazard(back, mode, dt), dtype=float)
-    else:
-        h = np.array(
-            [hazard_integral(model, StatePoint(b, mode), dt) for b in back]
-        )
-    return np.exp(-h)
 
 
 def transport_step(model: PdmpModel, f: GridDensity, dt: float) -> GridDensity:
@@ -59,7 +43,7 @@ def transport_step(model: PdmpModel, f: GridDensity, dt: float) -> GridDensity:
         back = model.flow.phi(-dt, X, mode)
         vals = model.grid.interpolate(f.values, back, mode)
         vals = vals * np.asarray(model.flow.jac(-dt, X, mode), dtype=float)
-        vals = vals * _backward_survival(model, X, mode, dt)
+        vals = vals * np.exp(-orbit_hazard(model, back, mode, dt))
         # cells whose backward orbit crossed the inflow boundary have left E;
         # a center exactly dt from the wall is kept whichever way it rounds
         tminus = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
@@ -102,11 +86,17 @@ def trace_minus(model: PdmpModel, f: GridDensity) -> np.ndarray:
 def jump_terms(model: PdmpModel, f: GridDensity):
     """Jump gain into the interior and influx onto the inflow boundary:
     the jump law applied to (rate x f, outgoing trace of f)."""
-    h_int = model.rate_values() * f.values
-    h_plus = trace_plus(model, f)
-    gain = GridDensity(model.grid, model.jump.p0(h_int, h_plus))
-    influx = model.jump.p_partial(h_int, h_plus)
-    return gain, influx
+    jumped = model.post_jump(model.rate_values() * f.values, trace_plus(model, f))
+    return jumped.interior, jumped.boundary
+
+
+def inject(model: PdmpModel, vals: np.ndarray, influx: np.ndarray) -> None:
+    """Add an inflow-boundary density to the cell values ``vals`` in place:
+    the mass ``influx x w-`` of each incoming boundary cell goes to the first
+    interior cell of its entry characteristic."""
+    if influx.size:
+        mass = influx * model.gamma_minus.weights
+        np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
 
 
 def _jumped_mass(model: PdmpModel, f: GridDensity, h: float) -> np.ndarray:
@@ -117,12 +107,7 @@ def _jumped_mass(model: PdmpModel, f: GridDensity, h: float) -> np.ndarray:
         mode = block.mode
         X = block.centers
         horizon = np.minimum(np.asarray(model.flow.hit_plus(X, mode), dtype=float), h)
-        if model.cumulative_hazard is not None:
-            hz = np.asarray(model.cumulative_hazard(X, mode, horizon), dtype=float)
-        else:
-            hz = np.array(
-                [hazard_integral(model, StatePoint(x, mode), te) for x, te in zip(X, horizon)]
-            )
+        hz = orbit_hazard(model, X, mode, horizon)
         sl = model.grid.block_slice(mode)
         out[sl] = f.values[sl] * -np.expm1(-hz)
     return out
@@ -149,7 +134,6 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     if rem > 1e-12 * max(t, 1.0):
         steps.append(rem)
     f = f0
-    wminus = model.gamma_minus.weights
     cell_w = model.grid.weights
     wplus = model.gamma_plus.weights
     for h in steps:
@@ -167,10 +151,7 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
             elif shape_mass > 0.0:
                 flux = flux * (exited / shape_mass)
         vals = transported.values + model.jump.p0(u, flux)
-        influx = model.jump.p_partial(u, flux)
-        if influx.size:
-            mass = influx * wminus
-            np.add.at(vals, model.entry_cells, mass / cell_w[model.entry_cells])
+        inject(model, vals, model.jump.p_partial(u, flux))
         f = GridDensity(model.grid, np.maximum(vals, 0.0))
     return f
 
@@ -194,7 +175,6 @@ def resolvent_G(
     sum_n (free resolvent . jump)^n . free resolvent, truncated when the
     chain term's mass falls below tol x mass(f)."""
     from . import chain  # deferred import; chain also uses trace_plus above
-    from .core import DensityPair
 
     if lam <= 0:
         raise ValueError("the resolvent series needs a positive discount")
@@ -208,11 +188,7 @@ def resolvent_G(
     for terms in range(1, max_terms + 1):
         r_int, r_out = chain.apply_R0(model, pair, lam)
         total += r_int.values
-        h_int = theta * r_int.values
-        pair = DensityPair(
-            GridDensity(model.grid, model.jump.p0(h_int, r_out)),
-            model.jump.p_partial(h_int, r_out),
-        )
+        pair = model.post_jump(theta * r_int.values, r_out)
         tail = pair.norm(model)
         if tail < tol * fnorm:
             converged = True

@@ -14,8 +14,9 @@ from .core import (
     PdmpError,
     PdmpModel,
     StatePoint,
+    gauss3,
 )
-from .semigroup import evolve, jump_terms, trace_minus, trace_plus, transport_step
+from .semigroup import evolve, inject, jump_terms, trace_minus, trace_plus, transport_step
 from .simulate import estimate_density, sample_from_density, simulate_ensemble, simulate_path
 
 __all__ = [
@@ -82,9 +83,7 @@ def _jump_density(model: PdmpModel, g: GridDensity) -> GridDensity:
     boundary influx folded onto the first cells of the entry characteristics."""
     gain, influx = jump_terms(model, g)
     vals = gain.values.copy()
-    if influx.size:
-        mass = influx * model.gamma_minus.weights
-        np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
+    inject(model, vals, influx)
     return GridDensity(model.grid, vals)
 
 
@@ -193,14 +192,12 @@ def _discounted_integral(model, x: StatePoint, t0: float, t1: float, lam, psi) -
     if length <= 0:
         return 0.0
     n = max(1, min(int(lam * length / 0.5) + 1, 200))
-    edges = np.linspace(0.0, length, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes, weights = np.polynomial.legendre.leggauss(3)
-    s = (mid[:, None] + half[:, None] * nodes).ravel()
-    X = model.flow.phi(s, np.broadcast_to(x.coords, (s.size, x.dim)), x.mode)
-    vals = np.exp(-lam * (t0 + s)) * np.asarray(psi(X, x.mode))
-    return float((half * (vals.reshape(-1, 3) @ weights)).sum())
+
+    def integrand(s):
+        X = model.flow.phi(s, np.broadcast_to(x.coords, (s.size, x.dim)), x.mode)
+        return np.exp(-lam * (t0 + s)) * np.asarray(psi(X, x.mode))
+
+    return float(gauss3([0.0], [length], [n], integrand)[0])
 
 
 def resolvent_duality(

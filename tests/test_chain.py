@@ -64,6 +64,13 @@ class TestR0:
             np.testing.assert_array_equal(a, b)
         assert len(chain._CACHE[m1]) <= 8
 
+    def test_no_inflow_boundary_gives_empty_boundary_blocks(self):
+        m3 = build_drift_redistribute("m3", n_cells=30, q=2.0)
+        m_int, b_int, m_out, b_out = chain._matrices(m3, 0.0)
+        assert m_int.shape == (30, 30)
+        assert b_int.shape == (30, 0) and b_out.shape == (0, 0)
+        assert m_out.shape == (0, 30)
+
     def test_discount_shrinks_mass_monotonically(self):
         m1 = build_drift_redistribute("m1", n_cells=100)
         pair = uniform_pair(m1)

@@ -7,6 +7,7 @@ from pdmpkit.core import (
     BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
+    DensityPair,
     DiscreteAxis,
     FlowMap,
     GridDensity,
@@ -19,10 +20,12 @@ from pdmpkit.core import (
     StatePoint,
     advance,
     cocycle,
+    gauss3,
     hazard_integral,
     hitting_time,
     invert_hazard,
     l1_distance,
+    orbit_hazard,
 )
 
 
@@ -113,6 +116,15 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity(grid, np.array([1.0, -0.5, 1.0, 1.0]))
 
+    def test_pair_l1_is_the_hand_sum(self):
+        model = exponential_growth_model()
+        rng = np.random.default_rng(0)
+        f, g = (GridDensity(model.grid, rng.random(model.grid.n_cells)) for _ in range(2))
+        a, b = DensityPair(f, np.array([0.3])), DensityPair(g, np.array([1.1]))
+        hand = float(np.sum(np.abs(f.values - g.values) * model.grid.weights)) + 0.8 * 0.5
+        assert a.l1(b, model) == pytest.approx(hand, rel=1e-14)
+        assert b.l1(a, model) == a.l1(b, model)
+
     def test_l1_distance(self):
         grid = InteriorGrid([ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 4)])])
         f = GridDensity(grid, np.array([1.0, 1.0, 1.0, 1.0]))
@@ -180,6 +192,16 @@ class TestHazard:
         expected = 0.7**2 * (math.exp(2 * t) - 1) / 2
         assert hazard_integral(model, x, t) == pytest.approx(expected, rel=1e-8)
 
+    def test_orbit_hazard_quadrature_with_per_row_times(self):
+        model = exponential_growth_model()
+        x = np.array([0.6, 0.7, 1.3])
+        t = np.array([0.0, 0.4, 0.2])
+        expected = x**2 * np.expm1(2 * t) / 2
+        np.testing.assert_allclose(orbit_hazard(model, x[:, None], 0, t), expected,
+                                   rtol=1e-8, atol=1e-14)
+        np.testing.assert_allclose(orbit_hazard(model, x[:, None], 0, 0.4),
+                                   x**2 * np.expm1(0.8) / 2, rtol=1e-8)
+
     def test_invert_hazard_round_trip(self):
         model = exponential_growth_model()
         x = StatePoint(np.array([0.7]), 0)
@@ -191,6 +213,15 @@ class TestHazard:
         model = exponential_growth_model()
         with pytest.raises(ValueError):
             hazard_integral(model, StatePoint(np.array([0.7]), 0), -1.0)
+
+
+def test_gauss3_is_exact_for_quintics():
+    quintic = lambda t: 3 * t**5 - t**4 + 2 * t**2 - 7
+    anti = lambda t: t**6 / 2 - t**5 / 5 + 2 * t**3 / 3 - 7 * t
+    a = np.array([0.0, -1.5, 2.0, 0.25])
+    b = np.array([1.0, 0.5, 5.0, 0.3])
+    got = gauss3(a, b, np.array([1, 3, 7, 2]), quintic)
+    np.testing.assert_allclose(got, anti(b) - anti(a), rtol=1e-12)
 
 
 def test_out_of_domain_sentinel_is_singleton():

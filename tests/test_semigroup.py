@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pdmpkit import (
+    CellCycleParams,
     GridDensity,
     KineticSlabParams,
+    build_cell_cycle,
     build_drift_redistribute,
     build_kinetic_slab,
     evolve,
@@ -14,6 +16,7 @@ from pdmpkit import (
     trace_plus,
     transport_step,
 )
+from pdmpkit.semigroup import inject
 
 
 @pytest.fixture
@@ -80,6 +83,17 @@ class TestTraces:
 
 
 class TestEvolve:
+    def test_inject_adds_the_influx_mass(self):
+        model = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+        rng = np.random.default_rng(1)
+        vals = rng.random(model.grid.n_cells)
+        influx = rng.random(model.gamma_minus.n_cells)
+        before = float(vals @ model.grid.weights)
+        inject(model, vals, influx)
+        assert float(vals @ model.grid.weights) - before == pytest.approx(
+            float(influx @ model.gamma_minus.weights), rel=1e-13)
+
+
     def test_mass_conserved_on_conservative_model(self, m1):
         f = GridDensity.uniform(m1.grid)
         g = evolve(m1, f, 0.8, 1e-3)
