@@ -405,16 +405,20 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
             xm = np.asarray(Gi(G(x) - mids), dtype=float)
             cells = grid.locate(np.column_stack([xm, np.zeros_like(xm)]), 0)
             return _orbit(t_faces, cells, end, lam, None)
-        # mode 1: backward time y to the inflow boundary
+        # mode 1: backward time y to the inflow boundary, unless the size
+        # reaches 0 first
         y = float(coords[1])
-        xtimes = _x_crossings(x, y)
+        t_end = min(y, float(G(x) - g_lo))
+        xtimes = _x_crossings(x, t_end)
         ytimes = y - yaxis.faces[1:-1][::-1]
-        times = np.unique(np.concatenate([xtimes, ytimes[(ytimes > 0) & (ytimes < y)]]))
-        t_faces = np.concatenate(([0.0], times, [y])) if y > 0 else np.array([0.0])
+        times = np.unique(np.concatenate([xtimes, ytimes[(ytimes > 0) & (ytimes < t_end)]]))
+        t_faces = np.concatenate(([0.0], times, [t_end])) if t_end > 0 else np.array([0.0])
         t_faces = np.unique(t_faces)
         mids = 0.5 * (t_faces[:-1] + t_faces[1:])
         pos = np.column_stack([np.asarray(Gi(G(x) - mids), dtype=float), y - mids])
         cells = grid.locate(pos, 1)
+        if t_end < y:
+            return _orbit(t_faces, cells, "domain", lam, None)
         w = float(Gi(G(x) - y)) if y > 0 else x
         return _orbit(t_faces, cells, "boundary", lam, _interp_stencil(xc, w))
 

@@ -105,6 +105,18 @@ class TestCellCycleModel:
         assert modes[0] == 0
         assert X[0, 0] == pytest.approx(1.5)
 
+    def test_phase_two_backward_orbit_stops_at_size_zero(self):
+        # toy growth G(x) = x: the backward orbit from (x, y) lasts min(x, y)
+        # inside the grid and reaches the inflow boundary only when y <= x
+        m = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+        X = np.vstack([m.grid.centers(1), m.gamma_plus.points])
+        for x, y in X:
+            orb = m.backward_orbit(np.array([x, y]), 1, 0.0)
+            inside = np.diff(orb.t_faces)[orb.cells >= 0].sum()
+            assert inside == pytest.approx(min(x, y), abs=1e-12)
+            if x < y:
+                assert orb.end == "domain" and orb.b_idx.size == 0
+
     def test_rate_only_in_phase_one(self, model):
         r0 = model.rate(np.array([[2.0, 0.0]]), 0)
         r1 = model.rate(np.array([[2.0, 0.5]]), 1)
