@@ -79,7 +79,7 @@ def _row(model: PdmpModel, coords: np.ndarray, mode: int, lam: float):
         de = np.maximum(exp_faces[1:][keep] - exp_faces[:-1][keep], 0.0)
         n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
 
-        def integrand(ts):
+        def integrand(ts, seg):
             X = np.broadcast_to(coords, (ts.size, coords.size))
             jb = np.asarray(model.flow.jac(-ts, X, mode), dtype=float)
             return np.exp(-(lam * ts + hazard(ts))) * jb

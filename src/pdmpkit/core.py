@@ -404,7 +404,7 @@ class DensityPair:
 
     def l1(self, other: "DensityPair", model: "PdmpModel") -> float:
         """L1 distance to another pair, interior plus inflow boundary."""
-        d = float(np.abs(self.interior.values - other.interior.values) @ model.grid.weights)
+        d = l1_distance(self.interior, other.interior)
         if self.boundary.size:
             d += float(np.abs(self.boundary - other.boundary) @ model.gamma_minus.weights)
         return d
@@ -636,8 +636,9 @@ def gauss3(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray, f) -> np.ndarray:
     """Composite 3-point Gauss-Legendre integrals of f over the intervals
     [a_i, b_i], each cut into n_sub_i equal sub-intervals.
 
-    ``f`` takes the flat array of all nodes and returns one value per node;
-    the result holds one integral per interval.  Exact for quintics.
+    ``f(t, seg)`` takes the flat array of all nodes and each node's interval
+    index, and returns one value per node; the result holds one integral per
+    interval.  Exact for quintics.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n_sub = np.asarray(n_sub, dtype=np.int64)
@@ -646,7 +647,8 @@ def gauss3(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray, f) -> np.ndarray:
     width = (b - a)[seg] / n_sub[seg]
     mid = a[seg] + k * width + 0.5 * width
     half = 0.5 * width
-    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL3_NODES).ravel()), dtype=float)
+    nodes = (mid[:, None] + half[:, None] * _GL3_NODES).ravel()
+    vals = np.asarray(f(nodes, np.repeat(seg, 3)), dtype=float)
     return np.bincount(seg, weights=half * (vals.reshape(-1, 3) @ _GL3_WEIGHTS),
                        minlength=n_sub.size)
 

@@ -29,6 +29,7 @@ from .core import (
     BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
+    ConvergenceError,
     DiscreteAxis,
     FlowMap,
     GridDensity,
@@ -554,8 +555,6 @@ def p1_invariant(
         if increment < tol:
             break
     else:
-        from .core import ConvergenceError
-
         raise ConvergenceError(f"division-cycle iteration stuck at increment {increment:.3e}")
     xc = ax.centers
     lam_c = p.newborn_size(xc)

@@ -6,7 +6,9 @@ the forced cut-off at the outgoing boundary.  ``simulate_path`` follows one
 trajectory event by event.  Ensemble density estimates are histograms of
 final states from a batched engine that advances all paths of a chunk
 together; each chunk has one generator derived from (seed, chunk index), so
-results depend only on (seed, n_paths, grid) and the inputs.
+results depend only on (seed, n_paths, grid) and the inputs.  The same
+engine reports each path's flow segments to path functionals such as the
+discounted time integral of ``verify.resolvent_duality``.
 """
 
 from __future__ import annotations
@@ -65,12 +67,6 @@ class Path:
     @property
     def jump_count(self) -> int:
         return sum(1 for e in self.events if e.cause in ("rate-jump", "boundary-jump"))
-
-    def states_at_times(self):
-        """(time, state) knots: initial state plus each post-jump state."""
-        knots = [(0.0, self.initial)]
-        knots += [(e.time, e.post_state) for e in self.events if e.post_state is not None]
-        return knots
 
 
 def _numeric_holding(model: PdmpModel, x: StatePoint, xi: float, tp: float) -> float:
@@ -247,12 +243,14 @@ class Ensemble(NamedTuple):
 
 
 def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
-               rng: np.random.Generator, max_jumps: int) -> np.ndarray:
+               rng: np.random.Generator, max_jumps: int, segment=None) -> np.ndarray:
     """Advance paths started at (X, modes) to time t, in place, one event
     round at a time: every live path draws its next holding time, paths
     whose next event falls past t flow to t and retire, the others flow to
-    the jump point and jump.  Returns the mask of paths censored at
-    max_jumps."""
+    the jump point and jump.  Once per mode per round, ``segment(rows, Xm,
+    mode, t0, t1)``, if given, receives the flow segment of each live path
+    in that mode: it starts at Xm at time t0 and ends at t1 = min(next
+    event, t).  Returns the mask of paths censored at max_jumps."""
     n = X.shape[0]
     clock = np.zeros(n)
     jumps = np.zeros(n, dtype=np.int64)
@@ -274,6 +272,8 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             hit = s >= tp  # boundary first; with tp = inf, no event at all
             sigma = np.where(hit, tp, s)
             end = clock[rows] + sigma
+            if segment is not None:
+                segment(rows, Xm, m, clock[rows], np.minimum(end, t))
             go = end <= t
             stay = ~go
             if stay.any():
@@ -305,6 +305,39 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
     return censored
 
 
+def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
+                max_jumps: int, segment=None):
+    """Run n_paths paths from ``init`` to time t in chunks of ``_CHUNK``,
+    each chunk with one generator derived from (seed, chunk index) and a
+    fixed draw order.  Yields (X, modes, censored) per chunk once its paths
+    have run; ``segment`` is passed to :func:`_run_paths` with path indices
+    counted over all chunks."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if model.grid.n_cells == 0:
+        raise ValueError("model has an empty interior grid")
+    if t <= 0:
+        raise ValueError("horizon must be positive")
+    if max_jumps < 1:
+        raise ValueError("max_jumps must be at least 1")
+    dims = {b.dim for b in model.grid.blocks}
+    if len(dims) != 1:
+        raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
+                         "for all modes")
+    if isinstance(init, StatePoint) and init.dim != model.grid.block(init.mode).dim:
+        raise ModelError(f"initial point {init} does not match mode {init.mode} of {model.name!r}")
+    for chunk, i0 in enumerate(range(0, n_paths, _CHUNK)):
+        n = min(_CHUNK, n_paths - i0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,)))
+        if isinstance(init, StatePoint):
+            X = np.tile(init.coords, (n, 1))
+            modes = np.full(n, init.mode, dtype=np.int64)
+        else:
+            X, modes = _sample_states(init, n, rng)
+        report = None if segment is None else (lambda rows, *flow: segment(i0 + rows, *flow))
+        yield X, modes, _run_paths(model, X, modes, t, rng, max_jumps, report)
+
+
 def simulate_ensemble(
     model: PdmpModel,
     init,
@@ -321,31 +354,9 @@ def simulate_ensemble(
     on (seed, n_paths, grid) and the inputs.  A path is censored when its
     max_jumps-th jump falls before t, the rule of :func:`simulate_path`.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if model.grid.n_cells == 0:
-        raise ValueError("model has an empty interior grid")
-    if t <= 0:
-        raise ValueError("horizon must be positive")
-    if max_jumps < 1:
-        raise ValueError("max_jumps must be at least 1")
-    dims = {b.dim for b in model.grid.blocks}
-    if len(dims) != 1:
-        raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
-                         "for all modes")
-    if isinstance(init, StatePoint) and init.dim != model.grid.block(init.mode).dim:
-        raise ModelError(f"initial point {init} does not match mode {init.mode} of {model.name!r}")
     counts = np.zeros(model.grid.n_cells, dtype=np.int64)
     censored = left = 0
-    for chunk, i0 in enumerate(range(0, n_paths, _CHUNK)):
-        n = min(_CHUNK, n_paths - i0)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,)))
-        if isinstance(init, StatePoint):
-            X = np.tile(init.coords, (n, 1))
-            modes = np.full(n, init.mode, dtype=np.int64)
-        else:
-            X, modes = _sample_states(init, n, rng)
-        cut = _run_paths(model, X, modes, t, rng, max_jumps)
+    for X, modes, cut in _run_chunks(model, init, t, n_paths, seed, max_jumps):
         censored += int(cut.sum())
         for m in np.unique(modes[~cut]):
             idx = model.grid.locate(X[~cut & (modes == m)], int(m))

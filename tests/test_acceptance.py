@@ -368,9 +368,11 @@ def test_criterion_12_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     outputs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        env = dict(os.environ, PDMP_THREADS=threads)
+    # vary what the output must not depend on: hash order and BLAS/OpenMP threads
+    for hash_seed, threads in (("0", "1"), ("1", "2")):
+        out = tmp_path / f"run{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "pdmpkit.cli", str(cfg_path), "simulate",
              "--t", "1", "--paths", "5000", "--seed", "7", "--out", str(out)],
@@ -382,4 +384,5 @@ def test_criterion_12_determinism(tmp_path):
     identical = outputs[0] == outputs[1]
     ok = identical and elapsed < 30
     _report(12, "determinism", ok,
-            f"density.csv byte-identical across PDMP_THREADS={{1,4}}: {identical}, {elapsed:.1f}s")
+            f"density.csv byte-identical across PYTHONHASHSEED={{0,1}} with "
+            f"OMP/OPENBLAS threads {{1,2}}: {identical}, {elapsed:.1f}s")

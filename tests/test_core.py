@@ -220,8 +220,9 @@ def test_gauss3_is_exact_for_quintics():
     anti = lambda t: t**6 / 2 - t**5 / 5 + 2 * t**3 / 3 - 7 * t
     a = np.array([0.0, -1.5, 2.0, 0.25])
     b = np.array([1.0, 0.5, 5.0, 0.3])
-    got = gauss3(a, b, np.array([1, 3, 7, 2]), quintic)
-    np.testing.assert_allclose(got, anti(b) - anti(a), rtol=1e-12)
+    c = np.array([1.0, -2.0, 0.5, 3.0])  # per-interval scale: f must see the right index
+    got = gauss3(a, b, np.array([1, 3, 7, 2]), lambda t, seg: c[seg] * quintic(t))
+    np.testing.assert_allclose(got, c * (anti(b) - anti(a)), rtol=1e-12)
 
 
 def test_out_of_domain_sentinel_is_singleton():

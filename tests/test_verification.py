@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pdmpkit import GridDensity, build_drift_redistribute, evolve
+from pdmpkit import (
+    CellCycleParams,
+    GridDensity,
+    KineticSlabParams,
+    build_cell_cycle,
+    build_drift_redistribute,
+    build_kinetic_slab,
+    evolve,
+)
 from pdmpkit.core import ContinuousAxis, InteriorGrid, ModeBlock, PdmpError
 from pdmpkit.verify import (
     change_of_variables_gap,
@@ -82,3 +90,29 @@ class TestCrossChecks:
         psi = lambda X, mode: X[:, 0]
         lhs, mc, se = resolvent_duality(m1, f, psi, 2.0, 500, 7)
         assert abs(lhs - mc) < 4 * se
+
+
+def _cycle_duality():
+    model = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+    size = np.concatenate([b.centers[:, 0] for b in model.grid.blocks])
+    # start well inside the size window: the grid resolvent loses the mass that
+    # grows past x_max, the simulated paths keep it
+    f = GridDensity(model.grid, (size < 3.0).astype(float))
+    return model, f, lambda X, mode: np.exp(-X[:, 0] / 4) * (1.0 + mode)
+
+
+def _slab_duality():
+    model = build_kinetic_slab(KineticSlabParams(
+        n_x=20, velocities=(-1.0, -0.5, 0.5, 1.0), nu_weights=(1.0,) * 4,
+        kernel=np.ones((4, 4)), boundary="diffuse"))
+    f = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells))
+    return model, f, lambda X, mode: np.cos(2.0 * X[:, 0]) + X[:, 1]
+
+
+@pytest.mark.parametrize("case", [_cycle_duality, _slab_duality])
+def test_resolvent_duality_with_boundary_jumps(case):
+    """Two modes with boundary jumps (cell cycle); wall and rate jumps
+    between velocities (slab)."""
+    model, f, psi = case()
+    lhs, mc, se = resolvent_duality(model, f, psi, 1.0, 2000, 1)
+    assert abs(lhs - mc) <= 4 * se
