@@ -49,6 +49,25 @@ class ConfigError(PdmpError):
     pass
 
 
+def _field(node: dict, key: str, default, kind=float, low=0):
+    """The entry under ``key`` (or ``default``) as ``kind``, above ``low`` if set."""
+    value = node.get(key, default)
+    try:
+        out = kind(value)
+        if low is None or out > low:
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"bad config entry {key!r}: {value!r}")
+
+
+def _times(task: dict, t: float, dt: float):
+    t, dt = _field(task, "t", t), _field(task, "dt", dt)
+    if dt > t:
+        raise ConfigError(f"task.dt ({dt}) exceeds task.t ({t})")
+    return t, dt
+
+
 def _set_dotted(cfg: dict, key: str, raw: str) -> None:
     try:
         value = json.loads(raw)
@@ -74,10 +93,10 @@ def _apply_overrides(cfg: dict, extras: list) -> None:
 
 
 def build_model(cfg: dict):
-    mcfg = cfg.get("model", {})
+    mcfg = _field(cfg, "model", {}, dict, None)
     name = mcfg.get("name")
-    params = dict(mcfg.get("params", {}))
-    params.update(cfg.get("grid", {}))
+    params = _field(mcfg, "params", {}, dict, None)
+    params.update(_field(cfg, "grid", {}, dict, None))
     try:
         if name in ("m1", "m2", "m3"):
             if "span" in params:
@@ -91,18 +110,21 @@ def build_model(cfg: dict):
             if "nu_weights" in params:
                 params["nu_weights"] = tuple(params["nu_weights"])
             return build_kinetic_slab(KineticSlabParams(**params))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from exc
     raise ConfigError(f"unknown model name {name!r}")
 
 
 def _initial_density(model, task: dict) -> GridDensity:
-    spec = task.get("init", {"kind": "uniform"})
+    spec = _field(task, "init", {}, dict, None)
     kind = spec.get("kind", "uniform")
     if kind == "uniform":
         return GridDensity.uniform(model.grid)
     if kind == "point":
-        x = StatePoint(np.asarray(spec["coords"], dtype=float), int(spec.get("mode", 0)))
+        coords = _field(spec, "coords", (), lambda c: np.asarray(c, dtype=float), None)
+        x = StatePoint(coords, _field(spec, "mode", 0, int, -1))
+        if x.coords.ndim != 1 or x.dim != model.grid.block(x.mode).dim:
+            raise ConfigError(f"initial point {spec} does not match mode {x.mode}")
         idx = model.grid.locate(x.coords[None, :], x.mode)[0]
         if idx < 0:
             raise ConfigError(f"initial point {spec} is outside the gridded region")
@@ -125,8 +147,8 @@ def _write_density(path: FsPath, model, density: GridDensity) -> None:
 
 def _run(cfg: dict, subcommand: str):
     model = build_model(cfg)
-    task = cfg.get("task", {})
-    seed = int(cfg.get("seed", 0))
+    task = _field(cfg, "task", {}, dict, None)
+    seed = _field(cfg, "seed", 0, int, -1)
     masses: dict = {}
     residuals: dict = {}
     density = None
@@ -135,25 +157,20 @@ def _run(cfg: dict, subcommand: str):
     if subcommand == "simulate":
         init = _initial_density(model, task)
         density, censored = estimate_density(
-            model, init, float(task.get("t", 1.0)), int(task.get("n_paths", 10000)), seed
+            model, init, _field(task, "t", 1.0), _field(task, "n_paths", 10000, int), seed
         )
         masses = {"input": init.total_mass, "output": density.total_mass, "censored": censored}
     elif subcommand == "evolve":
         init = _initial_density(model, task)
-        density = semigroup.evolve(
-            model, init, float(task.get("t", 1.0)), float(task.get("dt", 1e-3))
-        )
+        density = semigroup.evolve(model, init, *_times(task, 1.0, 1e-3))
         masses = {
             "input": init.total_mass,
             "output": density.total_mass,
             "defect": 1.0 - density.total_mass / init.total_mass,
         }
     elif subcommand in ("embedded", "invariant"):
-        result = chain.invariant_of_K(
-            model,
-            tol=float(task.get("tol", 1e-10)),
-            max_iters=int(task.get("max_iters", 500)),
-        )
+        result = chain.invariant_of_K(model, tol=_field(task, "tol", 1e-10),
+                                      max_iters=_field(task, "max_iters", 500, int))
         residuals["chain_increment"] = result.increment
         residuals["iterations"] = result.iterations
         if subcommand == "embedded":
@@ -173,14 +190,9 @@ def _run(cfg: dict, subcommand: str):
             masses = {"input": 1.0, "output": density.total_mass}
     elif subcommand == "resolvent":
         init = _initial_density(model, task)
-        lam = float(task.get("lam", 1.0))
-        res = semigroup.resolvent_G(
-            model,
-            init,
-            lam,
-            tol=float(task.get("tol", 1e-10)),
-            max_terms=int(task.get("max_terms", 500)),
-        )
+        lam = _field(task, "lam", 1.0)
+        res = semigroup.resolvent_G(model, init, lam, tol=_field(task, "tol", 1e-10),
+                                    max_terms=_field(task, "max_terms", 500, int))
         density = res.density
         masses = {
             "input": init.total_mass,
@@ -195,19 +207,15 @@ def _run(cfg: dict, subcommand: str):
             residuals["k_defect"] = chain.k_stochasticity_defect(model, pair)
         except PdmpError as exc:
             residuals["k_defect"] = f"error: {exc}"
-        report = verify.mc_vs_pde(
-            model,
-            init,
-            float(task.get("t", 0.5)),
-            int(task.get("n_paths", 20000)),
-            seed,
-            float(task.get("dt", model.min_crossing_time / 4 if np.isfinite(model.min_crossing_time) else 1e-2)),
-        )
+        t, dt = _times(task, 0.5, model.min_crossing_time / 4
+                       if np.isfinite(model.min_crossing_time) else 1e-2)
+        report = verify.mc_vs_pde(model, init, t, _field(task, "n_paths", 20000, int), seed, dt)
         residuals.update({f"mc_vs_pde_{k}": v for k, v in report.items()})
         density, censored = None, report["censored_mass"]
         masses = {"input": init.total_mass, "censored": censored}
         tolerances = {"mc_vs_pde_l1": 0.1, "mc_vs_pde_defect_gap": 0.05}
-        tolerances.update(cfg.get("tolerances", {}))
+        extra = _field(cfg, "tolerances", {}, dict, None)
+        tolerances.update({key: _field(extra, key, None, float, -np.inf) for key in extra})
         for key, bound in tolerances.items():
             val = residuals.get(key)
             if isinstance(val, (int, float)) and val > bound:
@@ -238,7 +246,7 @@ def main(argv=None) -> int:
         out_dir = FsPath(args.out or cfg.get("out_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         model, density, masses, residuals, failed = _run(cfg, args.subcommand)
-    except (ConfigError, PdmpError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (PdmpError, OSError, json.JSONDecodeError) as exc:
         print(f"pdmpkit: {exc}", file=sys.stderr)
         return 1
     if density is not None:
@@ -250,7 +258,7 @@ def main(argv=None) -> int:
         "masses": masses,
         "residuals": residuals,
         "wall_time_seconds": time.perf_counter() - started,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": _field(cfg, "seed", 0, int, -1),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
     return 2 if failed else 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, sparse
 
 __all__ = [
     "PdmpError",
@@ -231,47 +231,52 @@ class ModeBlock:
         idx[~ok] = -1
         return idx
 
-    def interpolate(self, values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation along continuous axes, exact match along
-        discrete axes; zero beyond a ghost half-cell outside the block."""
+    def corners(self, X: np.ndarray):
+        """Cell indices and weights of each point's interpolation corners, two (n, k) arrays."""
         X = np.atleast_2d(X)
         npts = X.shape[0]
-        # per-axis (index, fraction) pairs; continuous axes contribute two
-        # corners, discrete axes one (or a miss).
-        corner_idx = [np.zeros(npts, dtype=np.int64)]
-        corner_w = [np.ones(npts)]
+        # a continuous axis doubles the corners, a discrete axis keeps them
+        idx = np.zeros((npts, 1), dtype=np.int64)
+        w = np.ones((npts, 1))
         valid = np.ones(npts, dtype=bool)
         for k, ax in enumerate(self.axes):
             x = X[:, k]
             if isinstance(ax, ContinuousAxis):
-                c = ax.centers
-                u = (x - c[0]) / ax.dx
-                base = np.floor(u).astype(np.int64)
+                n = ax.n
+                u = (x - 0.5 * (ax.faces[0] + ax.faces[1])) / ax.dx
+                base = np.floor(u)
                 frac = u - base
                 # ghost zeros one cell beyond each edge
-                valid &= (u >= -1.0) & (u <= ax.n)
-                i0, i1 = base, base + 1
-                w0, w1 = 1.0 - frac, frac
-                in0 = (i0 >= 0) & (i0 < ax.n)
-                in1 = (i1 >= 0) & (i1 < ax.n)
-                new_idx, new_w = [], []
-                for ci, cw in zip(corner_idx, corner_w):
-                    new_idx.append(ci * ax.n + np.clip(i0, 0, ax.n - 1))
-                    new_w.append(cw * np.where(in0, w0, 0.0))
-                    new_idx.append(ci * ax.n + np.clip(i1, 0, ax.n - 1))
-                    new_w.append(cw * np.where(in1, w1, 0.0))
-                corner_idx, corner_w = new_idx, new_w
+                valid &= (u >= -1.0) & (u <= n)
+                pair = base.astype(np.int64)[:, None] + np.array([0, 1])
+                pair_w = np.stack([1.0 - frac, frac], axis=1)
+                pair_w[(pair < 0) | (pair >= n)] = 0.0
+                pair = np.minimum(np.maximum(pair, 0), n - 1)
+                idx = (idx[:, :, None] * n + pair[:, None, :]).reshape(npts, 2 * idx.shape[1])
+                w = (w[:, :, None] * pair_w[:, None, :]).reshape(npts, 2 * w.shape[1])
             else:
                 d = np.abs(x[:, None] - ax.values[None, :])
                 j = np.argmin(d, axis=1)
                 tol = 1e-9 * max(1.0, float(np.max(np.abs(ax.values))))
                 valid &= d[np.arange(npts), j] <= tol
-                corner_idx = [ci * ax.n + j for ci in corner_idx]
-        out = np.zeros(npts)
-        for ci, cw in zip(corner_idx, corner_w):
-            out += cw * values[ci]
-        out[~valid] = 0.0
-        return out
+                idx = idx * ax.n + j[:, None]
+        w[~valid] = 0.0
+        return idx, w
+
+    def interpolation_matrix(self, X: np.ndarray) -> sparse.csr_matrix:
+        """Sparse interpolation rows at the points X: multilinear along continuous axes,
+        exact on discrete ones; zero beyond a ghost half-cell or off a discrete value."""
+        return _csr_rows(*self.corners(X), self.n_cells)
+
+    def interpolate(self, values: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The values interpolated at the points X."""
+        return self.interpolation_matrix(X) @ values
+
+
+def _csr_rows(idx: np.ndarray, w: np.ndarray, n_cols: int) -> sparse.csr_matrix:
+    """The CSR matrix whose row i holds the weights w[i] at the columns idx[i]."""
+    n, k = w.shape
+    return sparse.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n_cols))
 
 
 class InteriorGrid:

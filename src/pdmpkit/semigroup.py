@@ -2,11 +2,11 @@
 
 The free (pre-jump) semigroup is applied exactly in one semi-Lagrangian
 step: trace each cell center backward along the flow, interpolate, and
-weight by the volume cocycle and the survival factor.  The full evolution
-splits each time step into this free step plus explicit jump gain and
-boundary-injection terms.  The resolvent of the full generator is summed as
-the perturbation series (free resolvent, then jump, then free resolvent,
-...) using the jump-chain building blocks.
+weight by the volume cocycle and the survival factor; for a step length h
+that is one sparse matrix, and so are the boundary traces.  The evolution
+splits each step into the free step, the jump gain and boundary injection,
+and assembles its matrices once per step length.  The resolvent is summed as
+the perturbation series using the jump-chain building blocks.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .core import DensityPair, GridDensity, PdmpModel, orbit_hazard
+from .core import DensityPair, GridDensity, PdmpModel, _csr_rows, orbit_hazard
 
 __all__ = [
     "transport_step",
@@ -31,56 +32,60 @@ __all__ = [
 ]
 
 
+def _free_step(model: PdmpModel, h: float):
+    """The linear parts of a step of length h: the free step as one sparse
+    matrix (interpolation at the backward orbits of the cell centers, rows
+    weighted by cocycle and survival), and the exact fraction of each cell's
+    mass that jumps by rate: 1 - exp(-hazard up to min(h, boundary hit))."""
+    parts, q = [], np.zeros(model.grid.n_cells)
+    for block in model.grid.blocks:
+        mode, X = block.mode, block.centers
+        back = model.flow.phi(-h, X, mode)
+        weight = model.flow.jac(-h, X, mode) * np.exp(-orbit_hazard(model, back, mode, h))
+        # cells whose backward orbit crossed the inflow boundary have left E;
+        # a center exactly h from the wall is kept whichever way it rounds
+        weight[np.asarray(model.flow.hit_minus(X, mode), dtype=float) < h * (1 - 1e-9)] = 0.0
+        idx, w = block.corners(back)
+        parts.append(_csr_rows(idx + model.grid.offsets[mode], weight[:, None] * w, q.size))
+        horizon = np.minimum(np.asarray(model.flow.hit_plus(X, mode), dtype=float), h)
+        q[model.grid.block_slice(mode)] = -np.expm1(-orbit_hazard(model, X, mode, horizon))
+    return (parts[0] if len(parts) == 1 else sparse.vstack(parts, format="csr")), q
+
+
 def transport_step(model: PdmpModel, f: GridDensity, dt: float) -> GridDensity:
     """One exact step of the free semigroup (transport with absorption at
     the outgoing boundary and exponential survival against the jump rate)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = np.zeros(model.grid.n_cells)
-    for block in model.grid.blocks:
-        mode = block.mode
-        X = block.centers
-        back = model.flow.phi(-dt, X, mode)
-        vals = model.grid.interpolate(f.values, back, mode)
-        vals = vals * np.asarray(model.flow.jac(-dt, X, mode), dtype=float)
-        vals = vals * np.exp(-orbit_hazard(model, back, mode, dt))
-        # cells whose backward orbit crossed the inflow boundary have left E;
-        # a center exactly dt from the wall is kept whichever way it rounds
-        tminus = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
-        vals[tminus < dt * (1 - 1e-9)] = 0.0
-        out[model.grid.block_slice(mode)] = vals
-    return GridDensity(model.grid, np.maximum(out, 0.0))
+    return GridDensity(model.grid, np.maximum(_free_step(model, dt)[0] @ f.values, 0.0))
 
 
-def _trace(model: PdmpModel, f: GridDensity, boundary, sign: float) -> np.ndarray:
+def _trace_matrix(model: PdmpModel, sign: float) -> sparse.csr_matrix:
+    """The boundary trace of f·J as one sparse matrix: 0.5 (3 P_{h/2} - P_{3h/2})
+    along the flow (sign -1: back from the outgoing boundary; +1: forward)."""
+    boundary = model.gamma_plus if sign < 0 else model.gamma_minus
     if boundary.n_cells == 0:
-        return np.zeros(0)
-    z = boundary.points
-    mode = boundary.mode
-    h = np.broadcast_to(
-        np.asarray(
-            model.trace_step_plus if sign < 0 else model.trace_step_minus, dtype=float
-        ),
-        (boundary.n_cells,),
-    )
-    vals = []
-    for k in (0.5, 1.5):
+        return sparse.csr_matrix((0, model.grid.n_cells))
+    z, mode = boundary.points, boundary.mode
+    h = np.asarray(model.trace_step_plus if sign < 0 else model.trace_step_minus, dtype=float)
+    idx, w = [], []
+    for k, c in ((0.5, 1.5), (1.5, -0.5)):
         s = sign * k * h
-        P = model.flow.phi(s, z, mode)
-        v = model.grid.interpolate(f.values, P, mode)
-        vals.append(v * np.asarray(model.flow.jac(s, z, mode), dtype=float))
-    return np.maximum(0.5 * (3.0 * vals[0] - vals[1]), 0.0)
+        i, wk = model.grid.block(mode).corners(model.flow.phi(s, z, mode))
+        idx.append(i + model.grid.offsets[mode])
+        w.append((c * np.asarray(model.flow.jac(s, z, mode), dtype=float))[:, None] * wk)
+    return _csr_rows(np.hstack(idx), np.hstack(w), model.grid.n_cells)
 
 
 def trace_plus(model: PdmpModel, f: GridDensity) -> np.ndarray:
     """Outgoing-boundary trace of f·J by two-point extrapolation along the
     incoming characteristic."""
-    return _trace(model, f, model.gamma_plus, -1.0)
+    return np.maximum(_trace_matrix(model, -1.0) @ f.values, 0.0)
 
 
 def trace_minus(model: PdmpModel, f: GridDensity) -> np.ndarray:
     """Inflow-boundary trace, extrapolated forward along the flow."""
-    return _trace(model, f, model.gamma_minus, +1.0)
+    return np.maximum(_trace_matrix(model, +1.0) @ f.values, 0.0)
 
 
 def jump_terms(model: PdmpModel, f: GridDensity):
@@ -99,27 +104,14 @@ def inject(model: PdmpModel, vals: np.ndarray, influx: np.ndarray) -> None:
         np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
 
 
-def _jumped_mass(model: PdmpModel, f: GridDensity, h: float) -> np.ndarray:
-    """Exact per-cell mass density undergoing a rate jump within a step of
-    length h: f x (1 - exp(-hazard up to min(h, boundary-hit time)))."""
-    out = np.zeros(model.grid.n_cells)
-    for block in model.grid.blocks:
-        mode = block.mode
-        X = block.centers
-        horizon = np.minimum(np.asarray(model.flow.hit_plus(X, mode), dtype=float), h)
-        hz = orbit_hazard(model, X, mode, horizon)
-        sl = model.grid.block_slice(mode)
-        out[sl] = f.values[sl] * -np.expm1(-hz)
-    return out
-
-
 def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensity:
     """Solve the forward (Fokker-Planck) problem by operator splitting:
     free transport, then the jump gain, then injection of the boundary
     influx over the first cell of each entry characteristic.  The gain
     redistributes the step's exact jumped mass, and the boundary flux is a
     trapezoid of the outgoing trace before and after transport, so mass is
-    conserved to second order in dt on conservative models."""
+    conserved to second order in dt on conservative models.  The linear
+    parts of a step are assembled once per step length."""
     if not (0 < dt <= t):
         raise ValueError("need 0 < dt <= t")
     if dt > model.min_crossing_time * (1 + 1e-12):
@@ -133,27 +125,30 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     rem = t - n_full * dt
     if rem > 1e-12 * max(t, 1.0):
         steps.append(rem)
-    f = f0
+    ops = {h: _free_step(model, h) for h in set(steps)}
+    trace = _trace_matrix(model, -1.0)
     cell_w = model.grid.weights
     wplus = model.gamma_plus.weights
+    f = f0.values
     for h in steps:
-        transported = transport_step(model, f, h)
-        u = _jumped_mass(model, f, h)
-        flux = 0.5 * h * (trace_plus(model, f) + trace_plus(model, transported))
+        T, q = ops[h]
+        transported = np.maximum(T @ f, 0.0)
+        u = f * q
+        flux = 0.5 * h * (np.maximum(trace @ f, 0.0) + np.maximum(trace @ transported, 0.0))
         if flux.size:
             # the traces give the flux's shape on the outgoing boundary; its
             # total is pinned to the step's exact mass budget so that nothing
             # is created or destroyed by the extrapolation error
-            exited = f.total_mass - transported.total_mass - float(u @ cell_w)
+            exited = float(f @ cell_w) - float(transported @ cell_w) - float(u @ cell_w)
             shape_mass = float(flux @ wplus)
             if exited <= 0.0:
                 flux = np.zeros_like(flux)
             elif shape_mass > 0.0:
                 flux = flux * (exited / shape_mass)
-        vals = transported.values + model.jump.p0(u, flux)
+        vals = transported + model.jump.p0(u, flux)
         inject(model, vals, model.jump.p_partial(u, flux))
-        f = GridDensity(model.grid, np.maximum(vals, 0.0))
-    return f
+        f = np.maximum(vals, 0.0)
+    return GridDensity(model.grid, f)
 
 
 @dataclass

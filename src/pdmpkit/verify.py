@@ -17,7 +17,7 @@ from .core import (
     gauss3,
     l1_distance,
 )
-from .semigroup import evolve, inject, jump_terms, trace_minus, trace_plus, transport_step
+from .semigroup import _free_step, evolve, inject, jump_terms, trace_minus, trace_plus, transport_step
 from .simulate import _run_chunks, estimate_density, simulate_ensemble
 
 __all__ = [
@@ -79,13 +79,12 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
-def _jump_density(model: PdmpModel, g: GridDensity) -> GridDensity:
-    """Post-jump density of the instantaneous jump intensity of g, with the
-    boundary influx folded onto the first cells of the entry characteristics."""
-    gain, influx = jump_terms(model, g)
+def _jump_density(model: PdmpModel, g: np.ndarray) -> np.ndarray:
+    """Post-jump density of the jump intensity of g, influx folded onto the entry cells."""
+    gain, influx = jump_terms(model, GridDensity(model.grid, g))
     vals = gain.values.copy()
     inject(model, vals, influx)
-    return GridDensity(model.grid, vals)
+    return vals
 
 
 def duhamel_oracle(
@@ -101,8 +100,9 @@ def duhamel_oracle(
     """Brute-force jump-count expansion of the evolved density.
 
     Sums the 0-, 1- and (for n_max=2) 2-jump contributions by nested
-    quadrature of single-shot free-transport steps.  Refuses when the
-    simulated probability of more than n_max jumps before t exceeds
+    quadrature of single-shot free-transport steps (over whole numbers of
+    the n_s intervals).  Refuses when the simulated probability of more
+    than n_max jumps before t exceeds
     ``max_tail`` (the returned tail estimate bounds the truncated mass).
     Returns (density, tail_probability).
     """
@@ -122,24 +122,21 @@ def duhamel_oracle(
         sw = _simpson_weights(n_s)
         ds = t / n_s
         s_nodes = np.linspace(0.0, t, n_s + 1)
-        free = [f0 if s == 0 else transport_step(model, f0, s) for s in s_nodes]
-        jumped = [_jump_density(model, g) for g in free]
-        for k, s in enumerate(s_nodes):
-            pushed = jumped[k] if s == t else transport_step(model, jumped[k], t - s)
-            total += ds * sw[k] * pushed.values
+        # every free step below spans a whole number m of the ds intervals:
+        # one transport matrix per m, applied as often as needed
+        steps = [None] + [_free_step(model, s)[0] for s in s_nodes[1:]]
+        push = lambda g, m: g if m == 0 else np.maximum(steps[m] @ g, 0.0)
+        jumped = [_jump_density(model, push(f0.values, k)) for k in range(n_s + 1)]
+        for k in range(n_s + 1):
+            total += ds * sw[k] * push(jumped[k], n_s - k)
         if n_max == 2:
-            for k, s2 in enumerate(s_nodes):
-                if k == 0:
-                    continue
+            for k in range(1, n_s + 1):
                 # inner integral over the first jump time (trapezoid)
                 acc = np.zeros(model.grid.n_cells)
                 for j in range(k + 1):
-                    g = jumped[j] if j == k else transport_step(model, jumped[j], s2 - s_nodes[j])
                     wj = 0.5 if j in (0, k) else 1.0
-                    acc += ds * wj * g.values
-                v = _jump_density(model, GridDensity(model.grid, acc))
-                pushed = v if s2 == t else transport_step(model, v, t - s2)
-                total += ds * sw[k] * pushed.values
+                    acc += ds * wj * push(jumped[j], k - j)
+                total += ds * sw[k] * push(_jump_density(model, acc), n_s - k)
     return GridDensity(model.grid, np.maximum(total, 0.0)), tail
 
 
@@ -198,8 +195,10 @@ def resolvent_duality(
     Left: the truncated perturbation series paired on the grid.  Right:
     Monte Carlo average over X(0) ~ f of the discounted time integral of
     psi along paths of the batched engine (so, as there, every mode must
-    have the same dimension); each round's flow segments are integrated
-    together by composite Gauss(3).  Returns (lhs, mc_mean, mc_stderr).
+    have the same dimension), stopped where a path leaves the gridded
+    window, as the grid resolvent loses that mass; each round's flow
+    segments are integrated together by composite Gauss(3).  Returns (lhs,
+    mc_mean, mc_stderr).
     """
     from .semigroup import resolvent_G
 
@@ -210,6 +209,9 @@ def resolvent_duality(
     if horizon is None:
         horizon = 10.0 / lam  # truncation bias e^-10, far below the MC noise
     samples = np.zeros(n_paths)
+    # the grid resolvent loses the mass that leaves the gridded window, so paths stop
+    # counting there; they are still simulated, which keeps the draw order
+    alive = np.ones(n_paths, dtype=bool)
 
     def discounted(rows, X, mode, t0, t1):
         length = t1 - t0
@@ -217,9 +219,13 @@ def resolvent_duality(
 
         def integrand(s, seg):
             at = model.flow.phi(s, X[seg], mode)
-            return np.exp(-lam * (t0[seg] + s)) * np.asarray(psi(at, mode))
+            inside = model.grid.locate(at, mode) >= 0
+            return np.exp(-lam * (t0[seg] + s)) * np.asarray(psi(at, mode)) * inside
 
-        np.add.at(samples, rows, gauss3(np.zeros(rows.size), length, n_sub, integrand))
+        np.add.at(samples, rows, gauss3(np.zeros(rows.size), length, n_sub, integrand) * alive[rows])
+        # just before the end: an end on the outgoing boundary may round out of the window
+        ends = model.flow.phi(length * (1 - 1e-9), X, mode)
+        alive[rows[model.grid.locate(ends, mode) < 0]] = False
 
     # at most 10^6 jumps per path: the censoring proxy for a possible explosion
     for _ in _run_chunks(model, f, horizon, n_paths, seed, 1_000_000, discounted):

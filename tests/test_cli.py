@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from pdmpkit import semigroup
 from pdmpkit.cli import main
 
 
@@ -116,6 +117,33 @@ class TestErrorHandling:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"name": "m1", "params": {"n_cellz": 10}}}))
         assert main([str(path), "simulate"]) == 1
+
+    def test_missing_model_name(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"params": {"n_cells": 10}}}))
+        assert main([str(path), "simulate", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("override", [
+        ["--t", "soon"],
+        ["--t", "1", "--dt", "2"],
+        ["--paths", "0"],
+        ["--seed", "-1"],
+        ["--task", "[1, 2]"],
+        ["--task.init", '{"kind": "point"}'],
+        ["--task.init", '{"kind": "point", "coords": [0.5, 1.0]}'],
+        ["--model.params.n_cells", "0"],
+    ])
+    def test_unreadable_config_values(self, cfg_path, tmp_path, override):
+        subcommand = "evolve" if "--dt" in override else "simulate"
+        assert main([str(cfg_path), subcommand, "--out", str(tmp_path), *override]) == 1
+
+    def test_internal_errors_propagate(self, cfg_path, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(semigroup, "evolve", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main([str(cfg_path), "evolve", "--out", str(tmp_path)])
 
     def test_point_init_outside_grid(self, cfg_path, tmp_path):
         rc = main([str(cfg_path), "simulate", "--out", str(tmp_path),

@@ -99,6 +99,49 @@ class TestAxesAndGrid:
         assert grid.n_cells == 4 + 8
         assert grid.block_slice(1) == slice(4, 12)
 
+    def test_interpolation_matrix_reproduces_linear_functions(self):
+        block = ModeBlock(0, [ContinuousAxis.uniform(0.0, 2.0, 16),
+                              ContinuousAxis.uniform(-1.0, 1.0, 8)])
+        c = block.centers
+        rng = np.random.default_rng(4)
+        # probes anywhere between the outermost cell centers
+        probes = np.column_stack([rng.uniform(c[:, 0].min(), c[:, 0].max(), 50),
+                                  rng.uniform(c[:, 1].min(), c[:, 1].max(), 50)])
+        probes[:3] = c[[0, 17, -1]]
+        P = block.interpolation_matrix(probes)
+        assert P.shape == (50, block.n_cells)
+        linear = lambda X: 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.5
+        np.testing.assert_allclose(P @ linear(c), linear(probes), rtol=1e-12)
+        np.testing.assert_allclose(P @ np.ones(block.n_cells), 1.0, rtol=1e-14)
+        np.testing.assert_array_equal(block.interpolate(linear(c), probes), P @ linear(c))
+        assert block.interpolation_matrix(np.zeros((0, 2))).shape == (0, block.n_cells)
+
+    def test_interpolation_matrix_ghost_zeros_and_discrete_misses(self):
+        block = ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 10),
+                              DiscreteAxis(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))])
+        probes = np.array([
+            [0.0, 1.0],     # on the edge: halfway to the ghost cell center
+            [-0.06, 1.0],   # beyond the ghost half-cell
+            [1.06, -1.0],
+            [0.5, 0.5],     # off the discrete axis
+            [0.55, -1.0],   # a cell center
+        ])
+        P = block.interpolation_matrix(probes)
+        np.testing.assert_allclose(P @ np.ones(block.n_cells), [0.5, 0.0, 0.0, 0.0, 1.0],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(abs(P).sum(axis=1).A1[1:4], 0.0)
+        assert P[4].toarray().ravel().tolist() == [0.0] * 10 + [1.0] + [0.0] * 9
+
+    def test_corners_match_the_interpolation_matrix(self):
+        block = ModeBlock(1, [ContinuousAxis.uniform(0.0, 1.0, 4),
+                              DiscreteAxis(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))])
+        probes = np.array([[0.3, 1.0], [0.9, -1.0]])
+        idx, w = block.corners(probes)
+        assert idx.shape == w.shape == (2, 2)
+        values = np.arange(8.0)
+        np.testing.assert_array_equal((w * values[idx]).sum(axis=1),
+                                      block.interpolation_matrix(probes) @ values)
+
 
 class TestGridDensity:
     def test_mass_and_normalization(self):

@@ -95,8 +95,7 @@ class TestCrossChecks:
 def _cycle_duality():
     model = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
     size = np.concatenate([b.centers[:, 0] for b in model.grid.blocks])
-    # start well inside the size window: the grid resolvent loses the mass that
-    # grows past x_max, the simulated paths keep it
+    # start well inside the size window, so little mass grows past x_max
     f = GridDensity(model.grid, (size < 3.0).astype(float))
     return model, f, lambda X, mode: np.exp(-X[:, 0] / 4) * (1.0 + mode)
 
@@ -115,4 +114,15 @@ def test_resolvent_duality_with_boundary_jumps(case):
     between velocities (slab)."""
     model, f, psi = case()
     lhs, mc, se = resolvent_duality(model, f, psi, 1.0, 2000, 1)
+    assert abs(lhs - mc) <= 4 * se
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_resolvent_duality_stops_paths_at_the_window(seed):
+    """Mass started up to x_max = 8 grows out of the gridded window: the grid
+    resolvent loses it, and the paths stop counting where they leave."""
+    model = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+    f = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells))
+    psi = lambda X, mode: np.exp(-X[:, 0] / 4) * (1.0 + mode)
+    lhs, mc, se = resolvent_duality(model, f, psi, 1.0, 2000, seed)
     assert abs(lhs - mc) <= 4 * se
