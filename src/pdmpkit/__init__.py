@@ -4,7 +4,6 @@ of the induced substochastic semigroup, and invariant densities through the
 embedded jump chain."""
 
 from .core import (
-    BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
     ConvergenceError,

@@ -10,11 +10,12 @@ discount lam gives, at a point x,
 
 with H the hazard integral along the backward orbit.  The same formula at a
 point of the outgoing boundary gives the trace of R0 there.  Everything is
-assembled once per (model, discount) into sparse matrices: the model
-enumerates the cells its backward orbit crosses, each crossing is integrated
-by Gauss quadrature on sub-intervals short enough that the discount factor
-varies slowly, and the boundary hit contributes a point factor spread over
-the model's inflow interpolation stencil.
+assembled once per (model, discount) into sparse matrices, a batch of rows at
+a time: the model's face-time hook ``backward_orbit`` gives the times at which
+each backward orbit crosses the grid faces, each segment between crossings is
+integrated by Gauss quadrature on sub-intervals short enough that the
+discount factor varies slowly, and the boundary hit contributes a point
+factor spread over the inflow boundary's axis stencil.
 """
 
 from __future__ import annotations
@@ -29,12 +30,15 @@ from scipy import sparse
 
 from .core import (
     EXPONENT_CUTOFF,
+    ContinuousAxis,
     ConvergenceError,
     DensityPair,
     DivergentIntegralError,
     GridDensity,
+    ModelError,
     NoInvariantDensityError,
     PdmpModel,
+    _csr_rows,
     gauss3,
     orbit_hazard,
 )
@@ -51,58 +55,131 @@ __all__ = [
 
 _MAX_EXP_STEP = 0.25    # max exponent variation per quadrature sub-interval
 
+_BATCH_NODES = 1 << 17   # quadrature nodes per batch of rows, at two sub-intervals per segment
+
+_FACE_TOL = 1e-9         # a face time must put the orbit on its face to this many cell widths
+
 _CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
 
 _CACHE: "weakref.WeakKeyDictionary[PdmpModel, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
-def _row(model: PdmpModel, coords: np.ndarray, mode: int, lam: float):
-    """Quadrature entries of one R0 row: (cells, weights, b_idx, b_weights)."""
-    orb = model.backward_orbit(coords, mode, lam)
-    if orb.end == "divergent":
-        raise DivergentIntegralError(
-            f"backward line integral diverges at {coords} (mode {mode}, discount {lam})"
-        )
-
-    def hazard(ts):  # along the backward orbit from coords
-        X = np.broadcast_to(coords, (ts.size, coords.size))
-        return orbit_hazard(model, model.flow.phi(-ts, X, mode), mode, ts)
-
-    t_faces = np.asarray(orb.t_faces, dtype=float)
-    exp_faces = lam * t_faces + hazard(t_faces)
-    cells = np.asarray(orb.cells)
-    t0, t1 = t_faces[:-1], t_faces[1:]
-    keep = (cells >= 0) & (t1 > t0) & (exp_faces[:-1] < EXPONENT_CUTOFF)
-    out_cells = cells[keep]
-    out_w = np.zeros(0)
-    if out_cells.size:
-        de = np.maximum(exp_faces[1:][keep] - exp_faces[:-1][keep], 0.0)
-        n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
-
-        def integrand(ts, seg):
-            X = np.broadcast_to(coords, (ts.size, coords.size))
-            jb = np.asarray(model.flow.jac(-ts, X, mode), dtype=float)
-            return np.exp(-(lam * ts + hazard(ts))) * jb
-
-        out_w = gauss3(t0[keep], t1[keep], n_sub, integrand)
-    b_idx = np.zeros(0, dtype=np.int64)
-    b_w = np.zeros(0)
-    if orb.end == "boundary" and orb.b_idx.size:
-        eb = exp_faces[-1]
-        if eb < EXPONENT_CUTOFF:
-            tb = t_faces[-1]
-            jb = float(model.flow.jac(-tb, coords[None, :], mode)[0])
-            b_idx = np.asarray(orb.b_idx, dtype=np.int64)
-            b_w = math.exp(-eb) * jb * np.asarray(orb.b_w, dtype=float)
-    return out_cells, out_w, b_idx, b_w
+def _face_times(model: PdmpModel, X: np.ndarray, mode: int, axis: int, a: np.ndarray,
+                width: float) -> np.ndarray:
+    """The model's backward times from the rows of X to coordinate ``axis`` = a,
+    checked to put the orbit on that face."""
+    t = np.asarray(model.backward_orbit(X, mode, axis, a), dtype=float)
+    hit = (t > 0) & np.isfinite(t)
+    miss = np.max(np.abs(model.flow.phi(-t[hit], X[hit], mode)[:, axis] - a[hit]), initial=0.0)
+    if miss > _FACE_TOL * width:
+        raise ModelError(f"backward_orbit of {model.name!r} (mode {mode}, axis {axis}) gives "
+                         f"face times whose orbits miss their face by up to {miss:.3e}")
+    return t
 
 
-def _csr(rows, n_cols: int):
-    """CSR matrix whose row r holds the (column indices, values) pair rows[r]."""
-    indptr = np.cumsum([0] + [idx.size for idx, _ in rows])
-    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [idx for idx, _ in rows])
-    data = np.concatenate([np.zeros(0)] + [w for _, w in rows])
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+def _cutoff_time(model: PdmpModel, X: np.ndarray, mode: int, lam: float) -> np.ndarray:
+    """For orbits that never leave the grid: a backward time at which
+    lam*t + hazard has reached EXPONENT_CUTOFF, at most twice the first one
+    (doubling from 2^-20 at most 90 times)."""
+    t = np.full(X.shape[0], 2.0 ** -20)
+    for _ in range(90):
+        short = lam * t + orbit_hazard(model, model.flow.phi(-t, X, mode), mode, t) < EXPONENT_CUTOFF
+        if not short.any():
+            return t
+        t[short] *= 2.0
+    raise DivergentIntegralError(
+        f"backward line integral of {model.name!r} diverges in mode {mode} at discount {lam}: "
+        "the orbit never leaves the grid and its discount exponent stays bounded"
+    )
+
+
+def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans, lam: float):
+    """Interior R0 entries of the rows X, whose orbits stop at the times end:
+    (entries per row, cells, weights), each row's entries in orbit order.
+
+    ``spans`` holds, per continuous axis, the first interior face each orbit
+    crosses and how many it crosses."""
+    n = X.shape[0]
+    rows, times = [np.arange(n), np.arange(n)], [np.zeros(n), end]
+    for k, ax, first, count in spans:
+        r = np.repeat(np.arange(n), count)
+        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(r.size)
+        t = _face_times(model, X[r], mode, k, ax.faces[j], ax.dx)
+        inside = (t > 0) & (t < end[r])
+        rows.append(r[inside])
+        times.append(t[inside])
+    rows, times = np.concatenate(rows), np.concatenate(times)
+    order = np.lexsort((times, rows))
+    rows, times = rows[order], times[order]
+    exponent = lam * times + orbit_hazard(model, model.flow.phi(-times, X[rows], mode), mode, times)
+    seg = np.flatnonzero(rows[1:] == rows[:-1])
+    r, t0, t1 = rows[seg], times[seg], times[seg + 1]
+    cells = model.grid.locate(model.flow.phi(-0.5 * (t0 + t1), X[r], mode), mode)
+    keep = (cells >= 0) & (t1 > t0) & (exponent[seg] < EXPONENT_CUTOFF)
+    r, t0, t1, seg = r[keep], t0[keep], t1[keep], seg[keep]
+    de = np.maximum(exponent[seg + 1] - exponent[seg], 0.0)
+    n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
+
+    def integrand(ts, s):
+        Xs = X[r[s]]
+        jb = np.asarray(model.flow.jac(-ts, Xs, mode), dtype=float)
+        hazard = orbit_hazard(model, model.flow.phi(-ts, Xs, mode), mode, ts)
+        return np.exp(-(lam * ts + hazard)) * jb
+
+    return np.bincount(r, minlength=n), cells[keep], gauss3(t0, t1, n_sub, integrand)
+
+
+def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
+    """R0 rows at the points X of one mode: (interior CSR, inflow-boundary CSR).
+
+    Each backward orbit stops at the first of: the inflow boundary, an outer
+    face of the grid (a tie with the boundary counts as boundary), and the
+    discount cutoff.  Its segments between face crossings are integrated by
+    Gauss quadrature, a batch of rows at a time."""
+    n = X.shape[0]
+    axes = [(k, ax) for k, ax in enumerate(model.grid.block(mode).axes)
+            if isinstance(ax, ContinuousAxis)]
+    hit = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
+    end = hit.copy()
+    for k, ax in axes:
+        t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([ax.lo, ax.hi], n), ax.dx)
+        end = np.minimum(end, np.where(t > 0, t, np.inf).reshape(2, n).min(axis=0))
+    endless = np.isinf(end)
+    if endless.any():
+        end[endless] = _cutoff_time(model, X[endless], mode, lam)
+    if lam > 0:
+        end = np.minimum(end, EXPONENT_CUTOFF / lam)
+    Z = model.flow.phi(-end, X, mode)
+
+    # the interior faces crossed on each axis lie between the start and end coordinates
+    spans, crossings = [], np.zeros(n, dtype=np.int64)
+    for k, ax in axes:
+        lo, hi = np.minimum(X[:, k], Z[:, k]), np.maximum(X[:, k], Z[:, k])
+        first = np.maximum(np.searchsorted(ax.faces, lo, side="right"), 1)
+        count = np.maximum(np.minimum(np.searchsorted(ax.faces, hi, side="left"), ax.n) - first, 0)
+        spans.append((k, ax, first, count))
+        crossings += count
+    batch = np.cumsum(6 * (crossings + 1)) // _BATCH_NODES
+    parts = [
+        _segments(model, mode, X[b], end[b], [(k, ax, f[b], c[b]) for k, ax, f, c in spans], lam)
+        for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1)
+    ]
+    counts, cells, weights = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    m_int = sparse.csr_matrix((weights, cells, np.concatenate(([0], np.cumsum(counts)))),
+                              shape=(n, model.grid.n_cells))
+
+    # orbits that end on the inflow boundary pick up its density there
+    eb = lam * end + orbit_hazard(model, Z, mode, end)
+    wall = (hit <= end) & (eb < EXPONENT_CUTOFF)
+    if not wall.any():
+        return m_int, sparse.csr_matrix((n, model.gamma_minus.n_cells))
+    if model.gamma_minus.axis is None:
+        raise ModelError(f"model {model.name!r} declares no axis for its inflow boundary")
+    idx, w = model.gamma_minus.stencil(Z)
+    weight = np.where(wall, np.exp(-eb) * np.asarray(model.flow.jac(-end, X, mode), dtype=float), 0.0)
+    m_wall = _csr_rows(idx, weight[:, None] * w, model.gamma_minus.n_cells)
+    m_wall.eliminate_zeros()
+    return m_int, m_wall
 
 
 def _matrices(model: PdmpModel, lam: float):
@@ -115,15 +192,10 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-
-    def build(points_by_mode):
-        rows = [_row(model, np.asarray(coords, dtype=float), mode, lam)
-                for mode, pts in points_by_mode for coords in pts]
-        return (_csr([r[:2] for r in rows], model.grid.n_cells),
-                _csr([r[2:] for r in rows], model.gamma_minus.n_cells))
-
-    m_int, b_int = build((b.mode, b.centers) for b in model.grid.blocks)
-    m_out, b_out = build([(model.gamma_plus.mode, model.gamma_plus.points)])
+    interior = [_rows(model, b.mode, b.centers, lam) for b in model.grid.blocks]
+    m_int = sparse.vstack([m for m, _ in interior], format="csr")
+    b_int = sparse.vstack([m for _, m in interior], format="csr")
+    m_out, b_out = _rows(model, model.gamma_plus.mode, model.gamma_plus.points, lam)
     per_model[key] = (m_int, b_int, m_out, b_out)
     if len(per_model) > _CACHE_PER_MODEL:
         per_model.popitem(last=False)

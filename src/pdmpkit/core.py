@@ -41,7 +41,6 @@ __all__ = [
     "DensityPair",
     "FlowMap",
     "JumpLaw",
-    "BackOrbit",
     "PdmpModel",
     "EXPONENT_CUTOFF",
     "advance",
@@ -321,11 +320,18 @@ class InteriorGrid:
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Finite cell list for one boundary component (all cells share a mode)."""
+    """Finite cell list for one boundary component (all cells share a mode).
+
+    ``axis = (column, Axis)``, when given, says that the cells are the cells
+    of that axis along that state column: a boundary point z lies in the
+    cells ``ModeBlock(mode, [Axis]).corners(z[:, [column]])``.  Backward line
+    integrals that end on the incoming boundary need it.
+    """
 
     mode: int
     points: np.ndarray   # (n, dim) representative boundary points
     weights: np.ndarray  # (n,) boundary measure weights
+    axis: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
@@ -334,6 +340,17 @@ class BoundaryGrid:
             raise ValueError("boundary points and weights disagree in length")
         if np.any(~np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValueError("boundary weights must be finite and nonnegative")
+        if self.axis is not None:
+            idx, w = self.stencil(self.points)
+            own = np.where(idx == np.arange(self.n_cells)[:, None], w, 0.0).sum(axis=1)
+            if not (np.allclose(own, 1.0, rtol=0, atol=1e-9)
+                    and np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-9)):
+                raise ModelError("the boundary axis does not reproduce the boundary points")
+
+    def stencil(self, Z: np.ndarray):
+        """Boundary cells and weights of the points Z, two (n, k) arrays."""
+        column, ax = self.axis
+        return ModeBlock(self.mode, [ax]).corners(Z[:, [column]])
 
     @property
     def n_cells(self) -> int:
@@ -463,24 +480,6 @@ class JumpLaw:
     p_partial: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass
-class BackOrbit:
-    """Cell occupancy of a backward characteristic.
-
-    ``t_faces`` are segment boundaries ``0 = t_0 < ... < t_k``; on
-    ``(t_i, t_{i+1})`` the orbit sits in interior cell ``cells[i]`` (flat
-    index, -1 when outside the gridded support).  ``end`` tells how the
-    orbit terminated: on the incoming boundary, by leaving the gridded
-    domain, by discount cutoff, or not at all ("divergent").
-    """
-
-    t_faces: np.ndarray
-    cells: np.ndarray
-    end: str  # "boundary" | "domain" | "cutoff" | "divergent"
-    b_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    b_w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 @dataclass(frozen=True, eq=False)
 class PdmpModel:
     """Immutable bundle of the characteristics of one PDMP plus its grids.
@@ -510,8 +509,12 @@ class PdmpModel:
     # hazard never gets there (may exceed hit_plus).  Without it the
     # simulator finds each holding time by root finding.
     inverse_hazard: Optional[Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None
-    # backward orbit enumeration for line integrals; lam is the discount.
-    backward_orbit: Optional[Callable[[np.ndarray, int, float], BackOrbit]] = None
+    # face-time hook for backward line integrals: (X, mode, axis, a) -> (n,)
+    # backward time at which coordinate ``axis`` of the orbit from X[i]
+    # equals a[i]; a value <= 0, NaN or inf when it never does.  Each
+    # continuous coordinate must be monotone along orbits, so each face is
+    # crossed at most once.
+    backward_orbit: Optional[Callable[[np.ndarray, int, int, np.ndarray], np.ndarray]] = None
     # (X, mode) -> (n,) bool: which rows lie in the state space
     in_state_space: Callable[[np.ndarray, int], np.ndarray] = (
         lambda X, m: np.ones(np.shape(X)[0], dtype=bool)

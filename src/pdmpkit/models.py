@@ -25,8 +25,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    EXPONENT_CUTOFF,
-    BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
     ConvergenceError,
@@ -52,46 +50,6 @@ __all__ = [
 ]
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _orbit(t_faces: np.ndarray, cells: np.ndarray, end: str, mu: float, stencil) -> BackOrbit:
-    """A backward orbit from its segment list, clipped where the discount
-    exponent mu*t reaches EXPONENT_CUTOFF (end "cutoff"); an orbit that
-    still ends on the incoming boundary carries ``stencil = (b_idx, b_w)``."""
-    if mu > 0 and t_faces[-1] > EXPONENT_CUTOFF / mu:
-        t_cut = EXPONENT_CUTOFF / mu
-        t_faces = np.append(t_faces[t_faces < t_cut], t_cut)
-        cells = cells[: t_faces.size - 1]
-        end = "cutoff"
-    orb = BackOrbit(t_faces, cells, end)
-    if end == "boundary":
-        orb.b_idx, orb.b_w = stencil
-    return orb
-
-
-def _faces_below(faces: np.ndarray, x: float) -> np.ndarray:
-    """Interior faces of a uniform axis lying below x beyond rounding, in
-    increasing order; their count is the index of the cell holding x."""
-    j = min(int((x - faces[0]) / (faces[1] - faces[0])), faces.size - 2)
-    below = faces[1 : j + 1]
-    return below[below < x - 1e-14 * max(1.0, abs(x))]
-
-
-def _interp_stencil(centers: np.ndarray, w: float):
-    """Linear interpolation stencil of point w on a 1-d array of centers."""
-    n = centers.size
-    if n == 1:
-        return np.array([0]), np.array([1.0])
-    dx = centers[1] - centers[0]
-    u = (w - centers[0]) / dx
-    i0 = int(math.floor(u))
-    frac = u - i0
-    idx, wt = [], []
-    for i, ww in ((i0, 1.0 - frac), (i0 + 1, frac)):
-        if 0 <= i < n and ww > 0:
-            idx.append(i)
-            wt.append(ww)
-    return np.asarray(idx, dtype=np.int64), np.asarray(wt)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +98,8 @@ def build_drift_redistribute(
     if variant == "m1":
         hit_plus = lambda X, mode: 1.0 - np.atleast_2d(X)[:, 0]
         hit_minus = lambda X, mode: np.atleast_2d(X)[:, 0].copy()
-        gamma_minus = BoundaryGrid(0, np.array([[0.0]]), np.array([1.0]))
+        gamma_minus = BoundaryGrid(0, np.array([[0.0]]), np.array([1.0]),
+                                   axis=(0, DiscreteAxis([0.0], [1.0])))
         gamma_plus = BoundaryGrid(0, np.array([[1.0]]), np.array([1.0]))
     else:
         inf_times = lambda X, mode: np.full(np.atleast_2d(X).shape[0], np.inf)
@@ -192,21 +151,8 @@ def build_drift_redistribute(
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
-    faces = axis.faces
-    end = "boundary" if variant == "m1" else "domain"
-    stencil = (np.array([0]), np.array([1.0]))
-
-    def backward_orbit(coords, mode, lam):
-        x = float(coords[0])
-        if variant == "m3":
-            c = grid.locate(np.array([[x]]), 0)[0]
-            return _orbit(np.array([0.0, math.inf]), np.array([c]), "divergent", lam + qv, None)
-        if x <= lo + 1e-15:
-            return _orbit(np.array([0.0]), np.zeros(0, dtype=np.int64), end, 0.0, stencil)
-        below = _faces_below(faces, x)
-        t_faces = np.concatenate(([0.0], x - below[::-1], [x - lo]))
-        cells = np.arange(below.size, -1, -1, dtype=np.int64)
-        return _orbit(t_faces, cells, end, lam, stencil)
+    def backward_orbit(X, mode, axis, a):  # a static orbit reaches no other face
+        return X[:, 0] - a if drifting else np.full(X.shape[0], np.inf)
 
     return PdmpModel(
         name=variant,
@@ -288,7 +234,7 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     xc = xaxis.centers
     bpts_minus = np.column_stack([xc, np.zeros(n_x)])
     bpts_plus = np.column_stack([xc, np.full(n_x, p.t_phase2)])
-    gamma_minus = BoundaryGrid(1, bpts_minus, np.full(n_x, dx))
+    gamma_minus = BoundaryGrid(1, bpts_minus, np.full(n_x, dx), axis=(0, xaxis))
     gamma_plus = BoundaryGrid(1, bpts_plus, np.full(n_x, dx))
 
     G, Gi, Q = p.growth_time, p.growth_time_inv, p.hazard_anti
@@ -379,49 +325,12 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
 
     off1 = grid.offsets[1]
     n_y = p.n_y
-    g_lo = G(np.array([0.0]))[0] if np.ndim(G(0.0)) else float(G(0.0))
 
-    def _x_crossings(x, t_max):
-        """Times at which the backward size orbit from x crosses size faces."""
-        times = np.asarray(G(x) - G(_faces_below(faces, x)[::-1]), dtype=float)
-        return times[times < t_max]
-
-    def backward_orbit(coords, mode, lam):
-        x = float(coords[0])
-        if mode == 0:
-            if x <= 0:
-                return BackOrbit(np.array([0.0]), np.zeros(0, dtype=np.int64), "domain")
-            t_end = float(G(x) - g_lo) if np.isfinite(g_lo) else math.inf
-            times = _x_crossings(x, t_end)
-            if np.isfinite(t_end):
-                t_faces = np.concatenate(([0.0], times, [t_end]))
-                end = "domain"
-            else:
-                t_faces = np.concatenate(([0.0], times))
-                end = "cutoff"  # remaining contribution handled by the
-                # hazard cutoff in the quadrature; requires the hazard (or
-                # the discount) to diverge along the infinite tail
-            t_faces = np.unique(t_faces)
-            mids = 0.5 * (t_faces[:-1] + t_faces[1:])
-            xm = np.asarray(Gi(G(x) - mids), dtype=float)
-            cells = grid.locate(np.column_stack([xm, np.zeros_like(xm)]), 0)
-            return _orbit(t_faces, cells, end, lam, None)
-        # mode 1: backward time y to the inflow boundary, unless the size
-        # reaches 0 first
-        y = float(coords[1])
-        t_end = min(y, float(G(x) - g_lo))
-        xtimes = _x_crossings(x, t_end)
-        ytimes = y - yaxis.faces[1:-1][::-1]
-        times = np.unique(np.concatenate([xtimes, ytimes[(ytimes > 0) & (ytimes < t_end)]]))
-        t_faces = np.concatenate(([0.0], times, [t_end])) if t_end > 0 else np.array([0.0])
-        t_faces = np.unique(t_faces)
-        mids = 0.5 * (t_faces[:-1] + t_faces[1:])
-        pos = np.column_stack([np.asarray(Gi(G(x) - mids), dtype=float), y - mids])
-        cells = grid.locate(pos, 1)
-        if t_end < y:
-            return _orbit(t_faces, cells, "domain", lam, None)
-        w = float(Gi(G(x) - y)) if y > 0 else x
-        return _orbit(t_faces, cells, "boundary", lam, _interp_stencil(xc, w))
+    def backward_orbit(X, mode, axis, a):
+        # axis 1 is continuous in phase II only, where the clock runs at unit speed
+        if axis == 0:
+            return np.asarray(G(X[:, 0]) - G(a), dtype=float)
+        return X[:, 1] - a
 
     def in_space(X, mode):
         x, y = X[:, 0], X[:, 1]
@@ -687,7 +596,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         bw.append(abs(v) * nu[i])
     bw = np.asarray(bw)
     gamma_plus = BoundaryGrid(0, np.asarray(out_pts), bw.copy())
-    gamma_minus = BoundaryGrid(0, np.asarray(in_pts), bw.copy())
+    gamma_minus = BoundaryGrid(0, np.asarray(in_pts), bw.copy(), axis=(1, DiscreteAxis(vels, nu)))
     # gamma cell index == velocity index, by construction above
 
     def phi(t, X, mode):
@@ -797,29 +706,6 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
-    faces = xaxis.faces
-    stencils = [(np.array([i]), np.array([1.0])) for i in range(n_v)]
-
-    def backward_orbit(coords, mode, lam):
-        x, v = float(coords[0]), float(coords[1])
-        i = v_index(v)
-        if v > 0:
-            t_end = x / v
-            below = _faces_below(faces, x)
-            times = (x - below[::-1]) / v
-            cells = np.arange(below.size, -1, -1, dtype=np.int64)
-        else:
-            s = -v
-            t_end = (L - x) / s
-            j = min(int(x / dx), n_x - 1) if x < L else n_x - 1
-            above = faces[j + 1 : -1]
-            above = above[above > x + 1e-14 * max(1.0, abs(x))]
-            times = (above - x) / s
-            cells = np.arange(j, j + above.size + 1, dtype=np.int64)
-        t_faces = np.unique(np.concatenate(([0.0], times, [t_end])))
-        cells = cells[: t_faces.size - 1]
-        return _orbit(t_faces, cells * n_v + i, "boundary", lam + theta_v[i], stencils[i])
-
     entry = np.array(
         [(0 if v > 0 else n_x - 1) * n_v + i for i, v in enumerate(vels)],
         dtype=np.int64,
@@ -835,7 +721,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         jump=jump,
         cumulative_hazard=cumulative_hazard,
         inverse_hazard=inverse_hazard,
-        backward_orbit=backward_orbit,
+        backward_orbit=lambda X, mode, axis, a: (X[:, 0] - a) / X[:, 1],
         in_state_space=lambda X, m: (0.0 <= X[:, 0]) & (X[:, 0] <= L),
         entry_cells=entry,
         trace_step_plus=dx / np.abs(vels),

@@ -42,9 +42,6 @@ def _free_step(model: PdmpModel, h: float):
         mode, X = block.mode, block.centers
         back = model.flow.phi(-h, X, mode)
         weight = model.flow.jac(-h, X, mode) * np.exp(-orbit_hazard(model, back, mode, h))
-        # cells whose backward orbit crossed the inflow boundary have left E;
-        # a center exactly h from the wall is kept whichever way it rounds
-        weight[np.asarray(model.flow.hit_minus(X, mode), dtype=float) < h * (1 - 1e-9)] = 0.0
         idx, w = block.corners(back)
         parts.append(_csr_rows(idx + model.grid.offsets[mode], weight[:, None] * w, q.size))
         horizon = np.minimum(np.asarray(model.flow.hit_plus(X, mode), dtype=float), h)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import pdmpkit
 from pdmpkit import (
     CellCycleParams,
     DensityPair,
@@ -368,11 +369,14 @@ def test_criterion_12_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     outputs = []
+    # the subprocess imports the same pdmpkit as this test
+    src = os.path.dirname(os.path.dirname(pdmpkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     # vary what the output must not depend on: hash order and BLAS/OpenMP threads
     for hash_seed, threads in (("0", "1"), ("1", "2")):
         out = tmp_path / f"run{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads)
+                   OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "pdmpkit.cli", str(cfg_path), "simulate",
              "--t", "1", "--paths", "5000", "--seed", "7", "--out", str(out)],

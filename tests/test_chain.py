@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pdmpkit import (
+    BoundaryGrid,
     CellCycleParams,
     DensityPair,
+    DivergentIntegralError,
     GridDensity,
+    ModelError,
     NoInvariantDensityError,
     StatePoint,
     apply_K,
@@ -19,6 +25,8 @@ from pdmpkit import (
 )
 from pdmpkit import chain
 from pdmpkit.simulate import sample_from_density
+
+from test_core import exponential_growth_model
 
 
 def uniform_pair(model):
@@ -76,6 +84,46 @@ class TestR0:
         pair = uniform_pair(m1)
         masses = [apply_R0(m1, pair, lam)[0].total_mass for lam in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(masses, masses[1:]))
+
+
+class TestR0Builder:
+    """The batched R0 assembly from a model's face-time hook."""
+
+    def test_exp_growth_inflow_term(self):
+        # x' = x on (lo, 2) with rate x^2: a unit inflow density arrives at x
+        # with survival e^{-(x^2 - lo^2)/2} and cocycle lo/x
+        lo = 0.5
+        m = exponential_growth_model(lo=lo, n=8)
+        x = m.grid.blocks[0].centers[:, 0]
+        r, _ = apply_R0(m, DensityPair(GridDensity.zero(m.grid), np.ones(1)), 0.0)
+        np.testing.assert_allclose(r.values, np.exp(-(x**2 - lo**2) / 2) * lo / x, rtol=1e-12)
+
+    def test_exp_growth_interior_rows(self):
+        # R0 of f = 1 at x: int_lo^x e^{-(x^2 - y^2)/2} dy / x (y = the size t earlier)
+        lo = 0.5
+        m = exponential_growth_model(lo=lo, n=8)
+        x = m.grid.blocks[0].centers[:, 0]
+        r, _ = apply_R0(m, DensityPair(GridDensity(m.grid, np.ones(8)), np.zeros(1)), 0.0)
+        want = [integrate.quad(lambda y: np.exp(-(xi**2 - y**2) / 2), lo, xi, epsabs=1e-13)[0] / xi
+                for xi in x]
+        np.testing.assert_allclose(r.values, want, rtol=1e-7)
+
+    def test_static_orbit_without_hazard_diverges(self):
+        m3 = build_drift_redistribute("m3", n_cells=20, q=0.0)
+        with pytest.raises(DivergentIntegralError):
+            apply_R0(m3, uniform_pair(m3), 0.0)
+
+    def test_wrong_face_times_are_refused(self):
+        m1 = build_drift_redistribute("m1", n_cells=20)
+        bad = dataclasses.replace(m1, backward_orbit=lambda X, mode, axis, a: 2.0 * (X[:, 0] - a))
+        with pytest.raises(ModelError):
+            apply_R0(bad, uniform_pair(bad), 0.0)
+
+    def test_inflow_boundary_without_axis_is_refused(self):
+        m1 = build_drift_redistribute("m1", n_cells=20)
+        bare = dataclasses.replace(m1, gamma_minus=BoundaryGrid(0, np.array([[0.0]]), np.array([1.0])))
+        with pytest.raises(ModelError):
+            apply_R0(bare, uniform_pair(bare), 0.0)
 
 
 class TestK:

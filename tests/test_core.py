@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdmpkit.core import (
-    BackOrbit,
     BoundaryGrid,
     ContinuousAxis,
     DensityPair,
@@ -55,12 +54,14 @@ def exponential_growth_model(lo=0.5, hi=2.0, n=50):
         name="exp-growth",
         flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus),
         grid=grid,
-        gamma_minus=BoundaryGrid(0, np.array([[lo]]), np.array([lo])),
+        gamma_minus=BoundaryGrid(0, np.array([[lo]]), np.array([lo]),
+                                 axis=(0, DiscreteAxis([lo], [1.0]))),
         gamma_plus=BoundaryGrid(0, np.array([[hi]]), np.array([hi])),
         rate=rate,
         jump=JumpLaw(sample=sample,
                      p0=lambda h, hp: np.zeros(grid.n_cells),
                      p_partial=lambda h, hp: np.zeros(1)),
+        backward_orbit=lambda X, mode, axis, a: np.log(X[:, 0] / a),
         in_state_space=lambda X, m: (lo <= X[:, 0]) & (X[:, 0] <= hi),
     )
 
@@ -279,6 +280,14 @@ def test_boundary_grid_empty():
     assert g.total_measure == 0.0
 
 
-def test_back_orbit_defaults():
-    orb = BackOrbit(np.array([0.0, 1.0]), np.array([3]), "boundary")
-    assert orb.b_idx.size == 0 and orb.b_w.size == 0
+def test_boundary_axis_must_reproduce_the_points():
+    # the cells of the axis must be the boundary cells, in order
+    with pytest.raises(ModelError):
+        BoundaryGrid(0, np.array([[0.0]]), np.array([1.0]), axis=(0, DiscreteAxis([0.5], [1.0])))
+    pts = np.array([[0.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(ModelError):
+        BoundaryGrid(0, pts, np.ones(2), axis=(1, DiscreteAxis([1.0, -1.0], [1.0, 1.0])))
+    g = BoundaryGrid(0, pts, np.ones(2), axis=(1, DiscreteAxis([-1.0, 1.0], [1.0, 1.0])))
+    idx, w = g.stencil(pts)
+    np.testing.assert_array_equal(idx[:, 0], [0, 1])
+    np.testing.assert_array_equal(w[:, 0], [1.0, 1.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pdmpkit import (
     CellCycleParams,
@@ -15,6 +16,7 @@ from pdmpkit import (
     p1_apply,
     p1_invariant,
 )
+from pdmpkit import chain
 
 
 class TestDriftRedistribute:
@@ -106,16 +108,19 @@ class TestCellCycleModel:
         assert X[0, 0] == pytest.approx(1.5)
 
     def test_phase_two_backward_orbit_stops_at_size_zero(self):
-        # toy growth G(x) = x: the backward orbit from (x, y) lasts min(x, y)
-        # inside the grid and reaches the inflow boundary only when y <= x
+        # toy growth G(x) = x, no hazard in phase II: at discount 0 the R0 row
+        # at (x, y) integrates 1 over the min(x, y) the orbit spends inside
+        # the grid, and reaches the inflow boundary only when y <= x
         m = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+        m_int, b_int, m_out, b_out = chain._matrices(m, 0.0)
+        phase2 = m.grid.block_slice(1)
+        rows = sparse.vstack([m_int[phase2], m_out], format="csr")
+        b_rows = sparse.vstack([b_int[phase2], b_out], format="csr")
         X = np.vstack([m.grid.centers(1), m.gamma_plus.points])
-        for x, y in X:
-            orb = m.backward_orbit(np.array([x, y]), 1, 0.0)
-            inside = np.diff(orb.t_faces)[orb.cells >= 0].sum()
-            assert inside == pytest.approx(min(x, y), abs=1e-12)
-            if x < y:
-                assert orb.end == "domain" and orb.b_idx.size == 0
+        np.testing.assert_allclose(rows.sum(axis=1).A1, np.minimum(X[:, 0], X[:, 1]),
+                                   rtol=0, atol=1e-12)
+        short = np.flatnonzero(X[:, 0] < X[:, 1])
+        assert short.size and b_rows[short].nnz == 0
 
     def test_rate_only_in_phase_one(self, model):
         r0 = model.rate(np.array([[2.0, 0.0]]), 0)

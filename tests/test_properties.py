@@ -7,10 +7,10 @@ from pdmpkit import GridDensity, KineticSlabParams, build_kinetic_slab, evolve
 
 
 @st.composite
-def symmetric_slabs(draw):
+def symmetric_slabs(draw, collisions=True):
     """A small slab whose uniform density is invariant: a sign-symmetric
     velocity set with mirrored weights, a positive symmetric collision
-    kernel, and specular or diffuse walls."""
+    kernel (or none), and specular or diffuse walls."""
     # speeds on a 1/8 grid: distinct velocities stay far apart for the
     # discrete velocity axis
     speeds = np.array(sorted(draw(st.lists(st.integers(2, 16), min_size=1, max_size=3,
@@ -26,7 +26,7 @@ def symmetric_slabs(draw):
         n_x=draw(st.integers(4, 24)),
         velocities=tuple(np.concatenate([-speeds[::-1], speeds])),
         nu_weights=tuple(np.concatenate([nu[::-1], nu])),
-        kernel=kernel,
+        kernel=kernel if collisions else None,
         boundary=draw(st.sampled_from(["specular", "diffuse"])),
     ))
 
@@ -47,12 +47,20 @@ def test_evolve_keeps_mass(slab, steps):
 
 @given(slab=symmetric_slabs(), steps=st.floats(1.0, 200.0))
 def test_evolve_keeps_the_uniform_density(slab, steps):
-    """With steps that resolve the transport (at most half a cell, so no
-    cell center is cut off from the inflow wall; see
-    test_semigroup.py::TestTransport for longer steps) and the collisions
-    (the jump step's error is first order in rate x dt), the uniform density
-    stays put to the benchmark's slab tolerance."""
+    """With steps that resolve the transport (at most half a cell) and the
+    collisions (the jump step's error is first order in rate x dt), the
+    uniform density stays put to the benchmark's slab tolerance."""
     dt = min(0.5 * slab.min_crossing_time, 1e-3 / slab.rate_values().max())
     mass_error, drift = _evolve_uniform(slab, steps, dt)
     assert mass_error <= 1e-9
     assert drift <= 1e-3
+
+
+@given(slab=symmetric_slabs(collisions=False), fraction=st.floats(0.05, 1.0),
+       steps=st.integers(1, 60))
+def test_free_streaming_keeps_the_uniform_density(slab, fraction, steps):
+    """Without collisions the uniform density is exact at any step up to one
+    cell crossing of the fastest speed: interpolation with ghost zeros keeps
+    the surviving part of each inflow cell, and the influx refills the rest."""
+    _, drift = _evolve_uniform(slab, steps, fraction * slab.min_crossing_time)
+    assert drift <= 1e-9

@@ -68,9 +68,6 @@ class TestTransport:
         f = evolve(slab, u, 1.0, 0.5 * slab.min_crossing_time)
         assert float(np.abs(f.values - u.values) @ slab.grid.weights) < 1e-9
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "transport zeroes the inflow cell of a velocity that moves between half a "
-        "cell and a whole cell per step; the boundary influx refills only part of it"))
     def test_fractional_cell_step_keeps_the_slab_uniform(self):
         # at dt = one crossing of the fastest speed, |v| = 0.75 moves 3/4 cell
         slab = build_kinetic_slab(KineticSlabParams(
