@@ -59,6 +59,8 @@ _BATCH_NODES = 1 << 17   # quadrature nodes per batch of rows, at two sub-interv
 
 _FACE_TOL = 1e-9         # a face time must put the orbit on its face to this many cell widths
 
+_DAMPING = 0.5           # weight of the new sweep when it is averaged with the previous iterate
+
 _CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
 
 _CACHE: "weakref.WeakKeyDictionary[PdmpModel, OrderedDict]" = weakref.WeakKeyDictionary()
@@ -211,13 +213,8 @@ def apply_R0(model: PdmpModel, pair: DensityPair, lam: float = 0.0):
     if lam < 0:
         raise ValueError("discount must be nonnegative")
     m_int, b_int, m_out, b_out = _matrices(model, lam)
-    f = pair.interior.values
-    fb = pair.boundary
-    interior = m_int @ f + (b_int @ fb if fb.size else 0.0)
-    outflux = m_out @ f + (b_out @ fb if fb.size else 0.0)
-    if m_out.shape[0] == 0:
-        outflux = np.zeros(0)
-    return GridDensity(model.grid, np.asarray(interior)), np.asarray(outflux)
+    f, fb = pair.interior.values, pair.boundary
+    return GridDensity(model.grid, m_int @ f + b_int @ fb), m_out @ f + b_out @ fb
 
 
 def apply_K(model: PdmpModel, pair: DensityPair, lam: float = 0.0) -> DensityPair:
@@ -240,7 +237,6 @@ def invariant_of_K(
     init: DensityPair | None = None,
     tol: float = 1e-10,
     max_iters: int = 500,
-    damping: float = 0.5,
 ) -> InvariantResult:
     """Invariant density pair of the jump chain by normalized power iteration.
 
@@ -271,9 +267,9 @@ def invariant_of_K(
         mixed = DensityPair(
             GridDensity(
                 model.grid,
-                damping * swept.interior.values + (1.0 - damping) * pair.interior.values,
+                _DAMPING * swept.interior.values + (1.0 - _DAMPING) * pair.interior.values,
             ),
-            damping * swept.boundary + (1.0 - damping) * pair.boundary,
+            _DAMPING * swept.boundary + (1.0 - _DAMPING) * pair.boundary,
         )
         mixed = mixed.scaled(1.0 / mixed.norm(model))
         increment = mixed.l1(pair, model)
@@ -312,9 +308,7 @@ def project_invariant(model: PdmpModel, f_star: GridDensity) -> DensityPair:
 
     h_int = model.rate_values() * f_star.values
     h_plus = trace_plus(model, f_star)
-    c_star = float(h_int @ model.grid.weights)
-    if h_plus.size:
-        c_star += float(h_plus @ model.gamma_plus.weights)
+    c_star = float(h_int @ model.grid.weights) + float(h_plus @ model.gamma_plus.weights)
     if not (c_star > 0 and np.isfinite(c_star)):
         raise ValueError(
             f"no jump activity under the given density on {model.name!r} (c* = {c_star})"

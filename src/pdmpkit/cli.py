@@ -33,8 +33,6 @@ from .models import (
 )
 from .simulate import estimate_density
 
-SUBCOMMANDS = ("simulate", "evolve", "invariant", "embedded", "resolvent", "verify")
-
 _ALIASES = {
     "t": "task.t",
     "dt": "task.dt",
@@ -145,85 +143,90 @@ def _write_density(path: FsPath, model, density: GridDensity) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run(cfg: dict, subcommand: str):
-    model = build_model(cfg)
-    task = _field(cfg, "task", {}, dict, None)
-    seed = _field(cfg, "seed", 0, int, -1)
-    masses: dict = {}
-    residuals: dict = {}
-    density = None
-    failed = False
+def _simulate(model, cfg, task, seed, subcommand):
+    init = _initial_density(model, task)
+    density, censored = estimate_density(
+        model, init, _field(task, "t", 1.0), _field(task, "n_paths", 10000, int), seed
+    )
+    return density, {"input": init.total_mass, "output": density.total_mass, "censored": censored}, {}
 
-    if subcommand == "simulate":
-        init = _initial_density(model, task)
-        density, censored = estimate_density(
-            model, init, _field(task, "t", 1.0), _field(task, "n_paths", 10000, int), seed
-        )
-        masses = {"input": init.total_mass, "output": density.total_mass, "censored": censored}
-    elif subcommand == "evolve":
-        init = _initial_density(model, task)
-        density = semigroup.evolve(model, init, *_times(task, 1.0, 1e-3))
-        masses = {
-            "input": init.total_mass,
-            "output": density.total_mass,
-            "defect": 1.0 - density.total_mass / init.total_mass,
-        }
-    elif subcommand in ("embedded", "invariant"):
-        result = chain.invariant_of_K(model, tol=_field(task, "tol", 1e-10),
-                                      max_iters=_field(task, "max_iters", 500, int))
-        residuals["chain_increment"] = result.increment
-        residuals["iterations"] = result.iterations
-        if subcommand == "embedded":
-            density = result.pair.interior
-            masses = {
-                "input": 1.0,
-                "output": result.pair.norm(model),
-                "boundary": float(result.pair.boundary @ model.gamma_minus.weights)
-                if result.pair.boundary.size
-                else 0.0,
-            }
-        else:
-            density, c = chain.lift_invariant(model, result.pair)
-            residuals["lift_mass"] = c
-            back = chain.project_invariant(model, density)
-            residuals["round_trip_l1"] = back.l1(result.pair, model)
-            masses = {"input": 1.0, "output": density.total_mass}
-    elif subcommand == "resolvent":
-        init = _initial_density(model, task)
-        lam = _field(task, "lam", 1.0)
-        res = semigroup.resolvent_G(model, init, lam, tol=_field(task, "tol", 1e-10),
-                                    max_terms=_field(task, "max_terms", 500, int))
-        density = res.density
-        masses = {
-            "input": init.total_mass,
-            "output": lam * res.density.total_mass,
-            "defect": 1.0 - lam * res.density.total_mass / init.total_mass,
-        }
-        residuals = {"terms": res.terms, "converged": res.converged, "tail_mass": res.tail_mass}
-    elif subcommand == "verify":
-        init = _initial_density(model, task)
-        pair = DensityPair(init, np.zeros(model.gamma_minus.n_cells))
-        try:
-            residuals["k_defect"] = chain.k_stochasticity_defect(model, pair)
-        except PdmpError as exc:
-            residuals["k_defect"] = f"error: {exc}"
-        t, dt = _times(task, 0.5, model.min_crossing_time / 4
-                       if np.isfinite(model.min_crossing_time) else 1e-2)
-        report = verify.mc_vs_pde(model, init, t, _field(task, "n_paths", 20000, int), seed, dt)
-        residuals.update({f"mc_vs_pde_{k}": v for k, v in report.items()})
-        density, censored = None, report["censored_mass"]
-        masses = {"input": init.total_mass, "censored": censored}
-        tolerances = {"mc_vs_pde_l1": 0.1, "mc_vs_pde_defect_gap": 0.05}
-        extra = _field(cfg, "tolerances", {}, dict, None)
-        tolerances.update({key: _field(extra, key, None, float, -np.inf) for key in extra})
-        for key, bound in tolerances.items():
-            val = residuals.get(key)
-            if isinstance(val, (int, float)) and val > bound:
-                residuals[f"{key}_exceeds"] = bound
-                failed = True
-    else:  # pragma: no cover - guarded by the parser
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return model, density, masses, residuals, failed
+
+def _evolve(model, cfg, task, seed, subcommand):
+    init = _initial_density(model, task)
+    density = semigroup.evolve(model, init, *_times(task, 1.0, 1e-3))
+    masses = {
+        "input": init.total_mass,
+        "output": density.total_mass,
+        "defect": 1.0 - density.total_mass / init.total_mass,
+    }
+    return density, masses, {}
+
+
+def _invariant(model, cfg, task, seed, subcommand):
+    """The chain's invariant pair (``embedded``) or its lift (``invariant``)."""
+    result = chain.invariant_of_K(model, tol=_field(task, "tol", 1e-10),
+                                  max_iters=_field(task, "max_iters", 500, int))
+    residuals = {"chain_increment": result.increment, "iterations": result.iterations}
+    if subcommand == "embedded":
+        masses = {"input": 1.0, "output": result.pair.norm(model),
+                  "boundary": float(result.pair.boundary @ model.gamma_minus.weights)}
+        return result.pair.interior, masses, residuals
+    density, c = chain.lift_invariant(model, result.pair)
+    residuals["lift_mass"] = c
+    back = chain.project_invariant(model, density)
+    residuals["round_trip_l1"] = back.l1(result.pair, model)
+    return density, {"input": 1.0, "output": density.total_mass}, residuals
+
+
+def _resolvent(model, cfg, task, seed, subcommand):
+    init = _initial_density(model, task)
+    lam = _field(task, "lam", 1.0)
+    res = semigroup.resolvent_G(model, init, lam, tol=_field(task, "tol", 1e-10),
+                                max_terms=_field(task, "max_terms", 500, int))
+    masses = {
+        "input": init.total_mass,
+        "output": lam * res.density.total_mass,
+        "defect": 1.0 - lam * res.density.total_mass / init.total_mass,
+    }
+    residuals = {"terms": res.terms, "converged": res.converged, "tail_mass": res.tail_mass}
+    return res.density, masses, residuals
+
+
+def _verify(model, cfg, task, seed, subcommand):
+    """Cross-checks; a residual above its tolerance gets an ``<key>_exceeds`` entry."""
+    init = _initial_density(model, task)
+    pair = DensityPair(init, np.zeros(model.gamma_minus.n_cells))
+    residuals = {}
+    try:
+        residuals["k_defect"] = chain.k_stochasticity_defect(model, pair)
+    except PdmpError as exc:
+        residuals["k_defect"] = f"error: {exc}"
+    t, dt = _times(task, 0.5, model.min_crossing_time / 4
+                   if np.isfinite(model.min_crossing_time) else 1e-2)
+    report = verify.mc_vs_pde(model, init, t, _field(task, "n_paths", 20000, int), seed, dt)
+    residuals.update({f"mc_vs_pde_{k}": v for k, v in report.items()})
+    masses = {"input": init.total_mass, "censored": report["censored_mass"]}
+    tolerances = {"mc_vs_pde_l1": 0.1, "mc_vs_pde_defect_gap": 0.05}
+    extra = _field(cfg, "tolerances", {}, dict, None)
+    tolerances.update({key: _field(extra, key, None, float, -np.inf) for key in extra})
+    for key, bound in tolerances.items():
+        val = residuals.get(key)
+        if isinstance(val, (int, float)) and val > bound:
+            residuals[f"{key}_exceeds"] = bound
+    return None, masses, residuals
+
+
+# each handler returns (density or None, masses, residuals)
+_HANDLERS = {
+    "simulate": _simulate,
+    "evolve": _evolve,
+    "invariant": _invariant,
+    "embedded": _invariant,
+    "resolvent": _resolvent,
+    "verify": _verify,
+}
+
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:
@@ -245,7 +248,10 @@ def main(argv=None) -> int:
         _apply_overrides(cfg, extras)
         out_dir = FsPath(args.out or cfg.get("out_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        model, density, masses, residuals, failed = _run(cfg, args.subcommand)
+        model = build_model(cfg)
+        task, seed = _field(cfg, "task", {}, dict, None), _field(cfg, "seed", 0, int, -1)
+        handler = _HANDLERS[args.subcommand]
+        density, masses, residuals = handler(model, cfg, task, seed, args.subcommand)
     except (PdmpError, OSError, json.JSONDecodeError) as exc:
         print(f"pdmpkit: {exc}", file=sys.stderr)
         return 1
@@ -258,10 +264,10 @@ def main(argv=None) -> int:
         "masses": masses,
         "residuals": residuals,
         "wall_time_seconds": time.perf_counter() - started,
-        "seed": _field(cfg, "seed", 0, int, -1),
+        "seed": seed,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
-    return 2 if failed else 0
+    return 2 if any(key.endswith("_exceeds") for key in residuals) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -179,6 +179,13 @@ class DiscreteAxis:
     def n(self) -> int:
         return self.values.size
 
+    def nearest(self, x: np.ndarray):
+        """Index of the value nearest to each x, and whether x is that value to roundoff."""
+        d = np.abs(x[:, None] - self.values[None, :])
+        j = np.argmin(d, axis=1)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(self.values))))
+        return j, d[np.arange(x.size), j] <= tol
+
 
 Axis = ContinuousAxis | DiscreteAxis
 
@@ -217,15 +224,11 @@ class ModeBlock:
         for k, ax in enumerate(self.axes):
             x = X[:, k]
             if isinstance(ax, ContinuousAxis):
-                j = np.floor((x - ax.lo) / ax.dx).astype(np.int64)
+                j = np.clip(np.floor((x - ax.lo) / ax.dx).astype(np.int64), 0, ax.n - 1)
                 inside = (x >= ax.lo) & (x <= ax.hi)
-                j = np.clip(j, 0, ax.n - 1)
-                ok &= inside
             else:
-                d = np.abs(x[:, None] - ax.values[None, :])
-                j = np.argmin(d, axis=1)
-                tol = 1e-9 * max(1.0, float(np.max(np.abs(ax.values))))
-                ok &= d[np.arange(x.size), j] <= tol
+                j, inside = ax.nearest(x)
+            ok &= inside
             idx = idx * ax.n + j
         idx[~ok] = -1
         return idx
@@ -254,10 +257,8 @@ class ModeBlock:
                 idx = (idx[:, :, None] * n + pair[:, None, :]).reshape(npts, 2 * idx.shape[1])
                 w = (w[:, :, None] * pair_w[:, None, :]).reshape(npts, 2 * w.shape[1])
             else:
-                d = np.abs(x[:, None] - ax.values[None, :])
-                j = np.argmin(d, axis=1)
-                tol = 1e-9 * max(1.0, float(np.max(np.abs(ax.values))))
-                valid &= d[np.arange(npts), j] <= tol
+                j, on_value = ax.nearest(x)
+                valid &= on_value
                 idx = idx * ax.n + j[:, None]
         w[~valid] = 0.0
         return idx, w
@@ -427,9 +428,7 @@ class DensityPair:
     def l1(self, other: "DensityPair", model: "PdmpModel") -> float:
         """L1 distance to another pair, interior plus inflow boundary."""
         d = l1_distance(self.interior, other.interior)
-        if self.boundary.size:
-            d += float(np.abs(self.boundary - other.boundary) @ model.gamma_minus.weights)
-        return d
+        return d + float(np.abs(self.boundary - other.boundary) @ model.gamma_minus.weights)
 
 
 def l1_distance(f: GridDensity, g: GridDensity) -> float:
@@ -491,6 +490,14 @@ class PdmpModel:
     ``rate(X, mode)``, ``inverse_hazard(X, mode, xi)`` (``xi`` an ``(n,)``
     array) and ``in_state_space(X, mode)`` each return one value per row of
     ``X``.  The Monte Carlo engine needs every mode to share one dimension.
+
+    Construction derives the boundary geometry from the grid and the flow:
+    ``entry_cells`` (the cell of each Gamma- point, where its influx enters),
+    ``trace_step_plus``/``trace_step_minus`` (twice the time between each
+    Gamma+/Gamma- point and the center of its cell) and ``min_crossing_time``
+    (the shortest backward face-to-face time through a cell, by
+    ``backward_orbit``; inf without it).  A boundary point off the grid, or
+    a trace step that is not positive and finite, raises :class:`ModelError`.
     """
 
     name: str
@@ -519,13 +526,34 @@ class PdmpModel:
     in_state_space: Callable[[np.ndarray, int], np.ndarray] = (
         lambda X, m: np.ones(np.shape(X)[0], dtype=bool)
     )
-    # first interior cell along the entry characteristic of each Gamma- cell
-    entry_cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    # time step used for one-sided trace extrapolation, per boundary cell
-    trace_step_plus: np.ndarray | float = 0.0
-    trace_step_minus: np.ndarray | float = 0.0
-    min_crossing_time: float = math.inf
     params: dict = field(default_factory=dict)
+    entry_cells: np.ndarray = field(init=False)
+    trace_step_plus: np.ndarray = field(init=False)
+    trace_step_minus: np.ndarray = field(init=False)
+    min_crossing_time: float = field(init=False)
+
+    def __post_init__(self):
+        for side, boundary, hit in (("plus", self.gamma_plus, self.flow.hit_plus),
+                                    ("minus", self.gamma_minus, self.flow.hit_minus)):
+            cells = self.grid.locate(boundary.points, boundary.mode)
+            if np.any(cells < 0):
+                raise ModelError(f"a gamma_{side} point of model {self.name!r} lies off the grid")
+            centers = self.grid.centers(boundary.mode)[cells - self.grid.offsets[boundary.mode]]
+            step = 2.0 * np.asarray(hit(centers, boundary.mode), dtype=float)
+            if not np.all((step > 0) & np.isfinite(step)):
+                raise ModelError(f"gamma_{side} trace steps of {self.name!r} must be positive and finite")
+            object.__setattr__(self, f"trace_step_{side}", step)
+        object.__setattr__(self, "entry_cells", cells)  # the loop ends on gamma_minus
+        crossing = [math.inf]
+        for b in self.grid.blocks if self.backward_orbit is not None else ():
+            for k, ax in enumerate(b.axes):
+                if isinstance(ax, ContinuousAxis):  # from each face of each cell back to the other
+                    j = np.unravel_index(np.arange(b.n_cells), b.shape)[k]
+                    X = np.vstack([b.centers, b.centers])
+                    X[:, k] = ax.faces[np.r_[j + 1, j]]
+                    t = self.backward_orbit(X, b.mode, k, ax.faces[np.r_[j, j + 1]])
+                    crossing.append(np.min(t[(t > 0) & np.isfinite(t)], initial=math.inf))
+        object.__setattr__(self, "min_crossing_time", float(min(crossing)))
 
     def rate_values(self) -> np.ndarray:
         """Jump rate evaluated at every interior cell center."""

@@ -80,7 +80,6 @@ def build_drift_redistribute(
         lo, hi = 0.0, 1.0
     axis = ContinuousAxis.uniform(lo, hi, n_cells)
     grid = InteriorGrid([ModeBlock(0, [axis])])
-    dx = axis.dx
     drifting = variant in ("m1", "m2")
 
     def phi(t, X, mode):
@@ -166,10 +165,6 @@ def build_drift_redistribute(
         inverse_hazard=inverse_hazard,
         backward_orbit=backward_orbit,
         in_state_space=in_space,
-        entry_cells=np.array([0], dtype=np.int64) if variant == "m1" else np.zeros(0, dtype=np.int64),
-        trace_step_plus=dx,
-        trace_step_minus=dx,
-        min_crossing_time=dx if drifting else math.inf,
         params={"variant": variant, "n_cells": n_cells, "q": qv, "span": (lo, hi)},
     )
 
@@ -225,7 +220,7 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     divides into two cells of half size back in phase I)."""
     xaxis = p.size_axis()
     yaxis = ContinuousAxis.uniform(0.0, p.t_phase2, p.n_y)
-    dx, dy = xaxis.dx, yaxis.dx
+    dx = xaxis.dx
     block0 = ModeBlock(0, [xaxis, DiscreteAxis([0.0], [1.0])])
     block1 = ModeBlock(1, [xaxis, yaxis])
     grid = InteriorGrid([block0, block1])
@@ -323,9 +318,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
-    off1 = grid.offsets[1]
-    n_y = p.n_y
-
     def backward_orbit(X, mode, axis, a):
         # axis 1 is continuous in phase II only, where the clock runs at unit speed
         if axis == 0:
@@ -337,9 +329,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         if mode == 0:
             return (x > 0) & (np.abs(y) < 1e-12)
         return (x > 0) & (-1e-12 <= y) & (y <= p.t_phase2 + 1e-12)
-
-    g_on_grid = np.asarray(p.growth(xc), dtype=float)
-    min_cross = min(dx / float(np.max(g_on_grid)), dy)
 
     return PdmpModel(
         name="cell_cycle",
@@ -353,10 +342,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         inverse_hazard=inverse_hazard,
         backward_orbit=backward_orbit,
         in_state_space=in_space,
-        entry_cells=off1 + np.arange(n_x, dtype=np.int64) * n_y,
-        trace_step_plus=dy,
-        trace_step_minus=dy,
-        min_crossing_time=min_cross,
         params={"cc": p},
     )
 
@@ -581,7 +566,6 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     if np.any(vels == 0):
         raise ModelError("zero velocities have no boundary cells; not supported")
     xaxis = ContinuousAxis.uniform(0.0, L, p.n_x)
-    dx = xaxis.dx
     block = ModeBlock(0, [xaxis, DiscreteAxis(vels, nu)])
     grid = InteriorGrid([block])
     n_x = p.n_x
@@ -706,11 +690,6 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
-    entry = np.array(
-        [(0 if v > 0 else n_x - 1) * n_v + i for i, v in enumerate(vels)],
-        dtype=np.int64,
-    )
-
     return PdmpModel(
         name="kinetic_slab",
         flow=FlowMap(phi=phi, jac=jac, hit_plus=hit_plus, hit_minus=hit_minus),
@@ -723,9 +702,5 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         inverse_hazard=inverse_hazard,
         backward_orbit=lambda X, mode, axis, a: (X[:, 0] - a) / X[:, 1],
         in_state_space=lambda X, m: (0.0 <= X[:, 0]) & (X[:, 0] <= L),
-        entry_cells=entry,
-        trace_step_plus=dx / np.abs(vels),
-        trace_step_minus=dx / np.abs(vels),
-        min_crossing_time=dx / float(np.max(np.abs(vels))),
         params={"slab": p},
     )

@@ -61,10 +61,8 @@ def _trace_matrix(model: PdmpModel, sign: float) -> sparse.csr_matrix:
     """The boundary trace of f·J as one sparse matrix: 0.5 (3 P_{h/2} - P_{3h/2})
     along the flow (sign -1: back from the outgoing boundary; +1: forward)."""
     boundary = model.gamma_plus if sign < 0 else model.gamma_minus
-    if boundary.n_cells == 0:
-        return sparse.csr_matrix((0, model.grid.n_cells))
     z, mode = boundary.points, boundary.mode
-    h = np.asarray(model.trace_step_plus if sign < 0 else model.trace_step_minus, dtype=float)
+    h = model.trace_step_plus if sign < 0 else model.trace_step_minus
     idx, w = [], []
     for k, c in ((0.5, 1.5), (1.5, -0.5)):
         s = sign * k * h
@@ -96,9 +94,8 @@ def inject(model: PdmpModel, vals: np.ndarray, influx: np.ndarray) -> None:
     """Add an inflow-boundary density to the cell values ``vals`` in place:
     the mass ``influx x w-`` of each incoming boundary cell goes to the first
     interior cell of its entry characteristic."""
-    if influx.size:
-        mass = influx * model.gamma_minus.weights
-        np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
+    mass = influx * model.gamma_minus.weights
+    np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
 
 
 def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensity:
@@ -132,16 +129,15 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
         transported = np.maximum(T @ f, 0.0)
         u = f * q
         flux = 0.5 * h * (np.maximum(trace @ f, 0.0) + np.maximum(trace @ transported, 0.0))
-        if flux.size:
-            # the traces give the flux's shape on the outgoing boundary; its
-            # total is pinned to the step's exact mass budget so that nothing
-            # is created or destroyed by the extrapolation error
-            exited = float(f @ cell_w) - float(transported @ cell_w) - float(u @ cell_w)
-            shape_mass = float(flux @ wplus)
-            if exited <= 0.0:
-                flux = np.zeros_like(flux)
-            elif shape_mass > 0.0:
-                flux = flux * (exited / shape_mass)
+        # the traces give the flux's shape on the outgoing boundary; its
+        # total is pinned to the step's exact mass budget so that nothing
+        # is created or destroyed by the extrapolation error
+        exited = float(f @ cell_w) - float(transported @ cell_w) - float(u @ cell_w)
+        shape_mass = float(flux @ wplus)
+        if exited <= 0.0:
+            flux = np.zeros_like(flux)
+        elif shape_mass > 0.0:
+            flux = flux * (exited / shape_mass)
         vals = transported + model.jump.p0(u, flux)
         inject(model, vals, model.jump.p_partial(u, flux))
         f = np.maximum(vals, 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,26 @@ class TestAxesAndGrid:
         values = np.arange(8.0)
         np.testing.assert_array_equal((w * values[idx]).sum(axis=1),
                                       block.interpolation_matrix(probes) @ values)
+
+
+class TestDerivedGeometry:
+    def test_exp_growth_entry_cell_and_crossing_time(self):
+        model = exponential_growth_model(n=30)
+        np.testing.assert_array_equal(model.entry_cells, [0])
+        # the narrowest crossing is the last cell, [1.95, 2]
+        assert model.min_crossing_time == pytest.approx(math.log(2.0 / 1.95), rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["gamma_minus", "gamma_plus"])
+    def test_boundary_point_off_the_grid_is_rejected(self, side):
+        model = exponential_growth_model()
+        with pytest.raises(ModelError, match="off the grid"):
+            dataclasses.replace(model, **{side: BoundaryGrid(0, np.array([[2.5]]), np.array([1.0]))})
+
+    def test_boundary_the_flow_never_reaches_is_rejected(self):
+        model = exponential_growth_model()
+        never = dataclasses.replace(model.flow, hit_plus=lambda X, mode: np.full(X.shape[0], np.inf))
+        with pytest.raises(ModelError, match="positive and finite"):
+            dataclasses.replace(model, flow=never)
 
 
 class TestGridDensity:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -201,3 +203,36 @@ class TestKineticSlab:
             counts[m.grid.locate(X, modes[0])[0]] += 1
         mc = counts / n / m.grid.weights
         assert float(np.abs(mc - predicted) @ m.grid.weights) < 0.05
+
+
+class TestDerivedGeometry:
+    """The boundary geometry each model derives at construction, against closed forms."""
+
+    def test_drift_redistribute(self):
+        m1 = build_drift_redistribute("m1", n_cells=200)
+        np.testing.assert_array_equal(m1.entry_cells, [0])
+        for got in (m1.trace_step_plus, m1.trace_step_minus, m1.min_crossing_time):
+            np.testing.assert_allclose(got, 1.0 / 200, rtol=1e-12)
+        m3 = build_drift_redistribute("m3")
+        assert m3.entry_cells.size == m3.trace_step_plus.size == m3.trace_step_minus.size == 0
+        assert m3.min_crossing_time == math.inf
+
+    def test_cell_cycle(self):
+        m = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
+        dx, dy = 0.2, 0.25
+        # each Gamma- cell enters phase II at clock cell 0 of its size column
+        np.testing.assert_array_equal(m.entry_cells, m.grid.offsets[1] + 4 * np.arange(40))
+        np.testing.assert_allclose(m.trace_step_plus, np.full(40, dy), rtol=1e-12)
+        np.testing.assert_allclose(m.trace_step_minus, np.full(40, dy), rtol=1e-12)
+        assert m.min_crossing_time == pytest.approx(dx, rel=1e-12)
+
+    def test_four_velocity_slab(self):
+        vels = np.array([-1.0, -0.5, 0.5, 1.0])
+        m = build_kinetic_slab(KineticSlabParams(n_x=50, velocities=tuple(vels),
+                                                 nu_weights=(1.0,) * 4))
+        dx = 1.0 / 50
+        # negative velocities enter at x = L, into the last cell
+        np.testing.assert_array_equal(m.entry_cells, [49 * 4, 49 * 4 + 1, 2, 3])
+        np.testing.assert_allclose(m.trace_step_plus, dx / np.abs(vels), rtol=1e-12)
+        np.testing.assert_allclose(m.trace_step_minus, dx / np.abs(vels), rtol=1e-12)
+        assert m.min_crossing_time == pytest.approx(dx, rel=1e-12)

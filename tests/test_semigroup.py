@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from pdmpkit import (
     trace_plus,
     transport_step,
 )
-from pdmpkit.core import orbit_hazard
+from pdmpkit.core import JumpLaw, orbit_hazard
 from pdmpkit.semigroup import inject
 
 from test_core import exponential_growth_model
@@ -109,6 +110,22 @@ class TestEvolve:
         f = GridDensity.uniform(m1.grid)
         g = evolve(m1, f, 0.8, 1e-3)
         assert g.total_mass == pytest.approx(1.0, abs=1e-10)
+
+    def test_inflow_restart_of_a_custom_model_keeps_the_mass(self):
+        # exp growth without interior jumps: the outflux at hi re-enters at lo,
+        # into the entry cell the model derives from its grid
+        model = exponential_growth_model()
+        ratio = model.gamma_plus.weights / model.gamma_minus.weights
+        restart = dataclasses.replace(
+            model,
+            rate=lambda X, mode: np.zeros(X.shape[0]),
+            cumulative_hazard=lambda X, mode, t: np.zeros(X.shape[0]),
+            jump=JumpLaw(sample=model.jump.sample,
+                         p0=lambda h, hp: np.zeros(model.grid.n_cells),
+                         p_partial=lambda h, hp: hp * ratio),
+        )
+        g = evolve(restart, GridDensity.uniform(restart.grid), 1.0, 0.01)
+        assert g.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_jump_relaxes_to_uniform(self):
         m3 = build_drift_redistribute("m3", n_cells=100, q=2.0)
