@@ -40,6 +40,7 @@ from .core import (
     PdmpModel,
     _csr_rows,
     gauss3,
+    hazard_crossing,
     orbit_hazard,
 )
 
@@ -77,22 +78,6 @@ def _face_times(model: PdmpModel, X: np.ndarray, mode: int, axis: int, a: np.nda
         raise ModelError(f"backward_orbit of {model.name!r} (mode {mode}, axis {axis}) gives "
                          f"face times whose orbits miss their face by up to {miss:.3e}")
     return t
-
-
-def _cutoff_time(model: PdmpModel, X: np.ndarray, mode: int, lam: float) -> np.ndarray:
-    """For orbits that never leave the grid: a backward time at which
-    lam*t + hazard has reached EXPONENT_CUTOFF, at most twice the first one
-    (doubling from 2^-20 at most 90 times)."""
-    t = np.full(X.shape[0], 2.0 ** -20)
-    for _ in range(90):
-        short = lam * t + orbit_hazard(model, model.flow.phi(-t, X, mode), mode, t) < EXPONENT_CUTOFF
-        if not short.any():
-            return t
-        t[short] *= 2.0
-    raise DivergentIntegralError(
-        f"backward line integral of {model.name!r} diverges in mode {mode} at discount {lam}: "
-        "the orbit never leaves the grid and its discount exponent stays bounded"
-    )
 
 
 def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans, lam: float):
@@ -147,8 +132,12 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
         t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([ax.lo, ax.hi], n), ax.dx)
         end = np.minimum(end, np.where(t > 0, t, np.inf).reshape(2, n).min(axis=0))
     endless = np.isinf(end)
-    if endless.any():
-        end[endless] = _cutoff_time(model, X[endless], mode, lam)
+    if endless.any():  # cut at the discount cutoff; inf when the exponent stays below it
+        end[endless] = hazard_crossing(model, X[endless], mode, EXPONENT_CUTOFF, lam, backward=True)
+        if np.isinf(end).any():
+            raise DivergentIntegralError(f"backward line integral of {model.name!r} diverges in "
+                                         f"mode {mode} at discount {lam}: an orbit never leaves "
+                                         "the grid and its discount exponent stays bounded")
     if lam > 0:
         end = np.minimum(end, EXPONENT_CUTOFF / lam)
     Z = model.flow.phi(-end, X, mode)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, sparse
+from scipy import integrate, sparse
 
 __all__ = [
     "PdmpError",
@@ -48,6 +48,7 @@ __all__ = [
     "hitting_time",
     "hazard_integral",
     "orbit_hazard",
+    "hazard_crossing",
     "gauss3",
 ]
 
@@ -668,6 +669,53 @@ def hazard_integral(model: PdmpModel, x: StatePoint, t: float) -> float:
     return float(orbit_hazard(model, x.coords[None, :], x.mode, float(t)).ravel()[0])
 
 
+def hazard_crossing(model: PdmpModel, X: np.ndarray, mode: int, level, lam: float = 0.0,
+                    horizon=math.inf, backward: bool = False) -> np.ndarray:
+    """Smallest t > 0 with lam*t + H(t) = level for each row of X, H the
+    :func:`orbit_hazard` along the forward (or ``backward``) orbit from that
+    row; ``level`` and ``horizon`` are scalars or one value per row.
+
+    Gives the horizon where lam*t + H(t) <= level there, and inf where the
+    level is never reached: t doubles from 1 up to the horizon, and a row
+    gives up after 200 doublings or once a doubling past 2^20 gains under
+    1e-12.  Illinois steps (regula falsi, halving the value at a stale end)
+    then narrow each bracket to 1e-10 in time, one orbit_hazard call a step.
+    """
+    n = X.shape[0]
+    level, horizon = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (level, horizon))
+    excess = lambda rows, t: lam * t - level[rows] + orbit_hazard(
+        model, model.flow.phi(-t, X[rows], mode) if backward else X[rows], mode, t)
+    T = np.column_stack([np.zeros(n), np.minimum(1.0, horizon)])  # bracket ends
+    G = np.column_stack([-level, np.zeros(n)])  # excess there: G[:, 0] < 0 <= G[:, 1]
+    rows, out = np.arange(n), np.full(n, math.inf)
+    for _ in range(200):
+        G[rows, 1] = g = excess(rows, T[rows, 1])
+        edge = T[rows, 1] >= horizon[rows]
+        out[rows[edge & (g <= 0)]] = horizon[rows[edge & (g <= 0)]]
+        out[rows[np.isnan(g)]] = np.nan
+        short = (g < 0) & ~edge & ((T[rows, 1] <= 2.0**20) | (g - G[rows, 0] >= 1e-12))
+        if not short.any():
+            break
+        rows = rows[short]
+        G[rows, 0], T[rows] = g[short], np.minimum(T[rows, 1:] * [1.0, 2.0], horizon[rows, None])
+    rows, side = np.flatnonzero((G[:, 1] >= 0) & np.isinf(out)), np.full(n, -1)
+    for _ in range(100):
+        (a, b), (ga, gb) = T[rows].T, G[rows].T
+        w, tol = b - a, 1e-10 + 4.0 * np.finfo(float).eps * b
+        c = a + w * np.where(np.isfinite(gb), ga / (ga - gb), 0.5)
+        done = (w <= tol) | (gb == 0)
+        out[rows[done]] = c[done]
+        rows, c = rows[~done], np.clip(c, a + 0.5 * tol, b - 0.5 * tol)[~done]
+        if not rows.size:
+            return out
+        g = excess(rows, c)
+        k = np.where(g < 0, 0, 1)  # the end that c replaces
+        again = side[rows] == k
+        G[rows[again], 1 - k[again]] *= 0.5  # Illinois: halve the excess at a stale end
+        T[rows, k], G[rows, k], side[rows] = c, g, k
+    raise ConvergenceError(f"hazard crossing of {model.name!r} did not converge in mode {mode}")
+
+
 def gauss3(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray, f) -> np.ndarray:
     """Composite 3-point Gauss-Legendre integrals of f over the intervals
     [a_i, b_i], each cut into n_sub_i equal sub-intervals.
@@ -687,13 +735,3 @@ def gauss3(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray, f) -> np.ndarray:
     vals = np.asarray(f(nodes, np.repeat(seg, 3)), dtype=float)
     return np.bincount(seg, weights=half * (vals.reshape(-1, 3) @ _GL3_WEIGHTS),
                        minlength=n_sub.size)
-
-
-def invert_hazard(model: PdmpModel, x: StatePoint, xi: float, t_hi: float) -> float:
-    """Smallest s in (0, t_hi] with cumulative hazard equal to xi.
-
-    The caller guarantees the hazard at ``t_hi`` is >= xi.  Time tolerance
-    1e-10.
-    """
-    f = lambda s: hazard_integral(model, x, s) - xi
-    return float(optimize.brentq(f, 0.0, t_hi, xtol=1e-10))

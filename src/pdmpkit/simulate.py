@@ -1,14 +1,15 @@
 """Event-driven simulation of the minimal process.
 
-Holding times are sampled exactly from the survival function: a unit
-exponential is compared against the cumulative hazard along the flow, with
-the forced cut-off at the outgoing boundary.  ``simulate_path`` follows one
-trajectory event by event.  Ensemble density estimates are histograms of
-final states from a batched engine that advances all paths of a chunk
-together; each chunk has one generator derived from (seed, chunk index), so
-results depend only on (seed, n_paths, grid) and the inputs.  The same
-engine reports each path's flow segments to path functionals such as the
-discounted time integral of ``verify.resolvent_duality``.
+Holding times are sampled exactly from the survival function: the time the
+cumulative hazard along the flow takes to reach a unit exponential, cut off
+at the outgoing boundary, from the model's ``inverse_hazard`` or else from
+``core.hazard_crossing``.  ``simulate_path`` follows one trajectory event by
+event.  Ensemble density estimates are histograms of final states from a
+batched engine that advances all paths of a chunk together; each chunk has
+one generator derived from (seed, chunk index), so results depend only on
+(seed, n_paths, grid) and the inputs.  The same engine reports each path's
+flow segments to path functionals such as the discounted time integral of
+``verify.resolvent_duality``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .core import (
     PdmpModel,
     StatePoint,
     advance,
-    hazard_integral,
+    hazard_crossing,
     hitting_time,
-    invert_hazard,
 )
 
 __all__ = [
@@ -69,36 +69,12 @@ class Path:
         return sum(1 for e in self.events if e.cause in ("rate-jump", "boundary-jump"))
 
 
-def _numeric_holding(model: PdmpModel, x: StatePoint, xi: float, tp: float) -> float:
-    """Time at which the hazard along the orbit from x reaches xi, by root
-    finding, for models without a closed-form inverse hazard.  Returns tp
-    when the outgoing boundary comes first and inf when the hazard never
-    reaches xi."""
-    if np.isfinite(tp):
-        if hazard_integral(model, x, tp) <= xi:
-            return tp
-        return invert_hazard(model, x, xi, tp)
-    # open-ended orbit: bracket the crossing by doubling, detect a hazard
-    # plateau below xi as an infinite holding time
-    t, prev = 1.0, 0.0
-    for _ in range(200):
-        h = hazard_integral(model, x, t)
-        if h >= xi:
-            return invert_hazard(model, x, xi, t)
-        if t > 1e6 and h - prev < 1e-12:
-            return math.inf
-        prev, t = h, 2.0 * t
-    return math.inf
-
-
 def _hazard_crossings(model: PdmpModel, X: np.ndarray, mode: int, xi: np.ndarray,
                       tp: np.ndarray) -> np.ndarray:
-    """Times at which the hazard from each row of X reaches xi (see
-    :func:`_numeric_holding`); a time >= tp means the boundary comes first."""
+    """Times at which the hazard from each row of X reaches xi; >= tp: the boundary first."""
     if model.inverse_hazard is not None:
         return np.asarray(model.inverse_hazard(X, mode, xi), dtype=float)
-    return np.array([_numeric_holding(model, StatePoint(x, mode), float(e), float(h))
-                     for x, e, h in zip(X, xi, tp)])
+    return hazard_crossing(model, X, mode, xi, horizon=tp)
 
 
 def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
@@ -123,12 +99,8 @@ def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 
     if cause == "never":
         return PathEvent(math.inf, "never", None, None)
     moved = advance(model, x, sigma)
-    if cause == "boundary-hit":
-        if not isinstance(moved, tuple):
-            # hazard root within rounding of the hitting time: clamp
-            moved = (moved, "plus")
-        pre = moved[0]
-        cause_out = "boundary-jump"
+    if cause == "boundary-hit":  # sigma is the hitting time itself, so advance clamps
+        pre, cause_out = moved[0], "boundary-jump"
     else:
         pre = moved[0] if isinstance(moved, tuple) else moved
         if pre is OUT_OF_DOMAIN:

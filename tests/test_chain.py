@@ -113,6 +113,19 @@ class TestR0Builder:
         with pytest.raises(DivergentIntegralError):
             apply_R0(m3, uniform_pair(m3), 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_static_orbit_cutoff_by_root_finding(self, lam):
+        # m3's orbits never leave the grid: each stops where lam t + q t reaches the
+        # cutoff, and R0 is 1 / (lam + q) on the diagonal, with or without a closed form
+        m3 = build_drift_redistribute("m3", n_cells=6, q=2.0)
+        want = chain._matrices(m3, lam)
+        got = chain._matrices(dataclasses.replace(m3, cumulative_hazard=None), lam)
+        np.testing.assert_allclose(want[0].toarray(), np.eye(6) / (lam + 2.0), rtol=0, atol=1e-9)
+        for a, b in zip(got, want):
+            a, b = a.toarray(), b.toarray()
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.abs(b).max(initial=0.0))
+
     def test_wrong_face_times_are_refused(self):
         m1 = build_drift_redistribute("m1", n_cells=20)
         bad = dataclasses.replace(m1, backward_orbit=lambda X, mode, axis, a: 2.0 * (X[:, 0] - a))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pdmpkit import build_drift_redistribute
 from pdmpkit.core import (
     BoundaryGrid,
     ContinuousAxis,
@@ -21,9 +22,9 @@ from pdmpkit.core import (
     advance,
     cocycle,
     gauss3,
+    hazard_crossing,
     hazard_integral,
     hitting_time,
-    invert_hazard,
     l1_distance,
     orbit_hazard,
 )
@@ -267,12 +268,29 @@ class TestHazard:
         np.testing.assert_allclose(orbit_hazard(model, x[:, None], 0, 0.4),
                                    x**2 * np.expm1(0.8) / 2, rtol=1e-8)
 
-    def test_invert_hazard_round_trip(self):
+    def test_hazard_crossing_round_trip(self):
+        # rate x^2 along x e^t: the hazard reaches xi at t = log(1 + 2 xi / x^2) / 2
         model = exponential_growth_model()
-        x = StatePoint(np.array([0.7]), 0)
-        xi = 0.3
-        s = invert_hazard(model, x, xi, 1.0)
-        assert hazard_integral(model, x, s) == pytest.approx(xi, abs=1e-9)
+        x = np.array([0.6, 0.7, 1.1, 1.5, 0.9])
+        xi = np.array([0.05, 0.3, 0.2, 0.5, 5.0])
+        tp = model.flow.hit_plus(x[:, None], 0)
+        s = hazard_crossing(model, x[:, None], 0, xi, horizon=tp)
+        exact = 0.5 * np.log1p(2.0 * xi / x**2)
+        assert np.all(exact[:4] < tp[:4]) and exact[4] > tp[4]
+        np.testing.assert_allclose(s[:4], exact[:4], rtol=0, atol=1e-9)
+        assert s[4] == tp[4]  # the horizon comes first
+        np.testing.assert_allclose(orbit_hazard(model, x[:4, None], 0, s[:4]), xi[:4], rtol=1e-8)
+
+    def test_hazard_crossing_bounded_hazard(self):
+        # open orbits x + t with rate e^{-x}: H(t) = e^{-x} (1 - e^{-t}) never reaches e^{-x}
+        m2 = build_drift_redistribute("m2", n_cells=10)
+        model = dataclasses.replace(m2, rate=lambda X, mode: np.exp(-X[:, 0]),
+                                    cumulative_hazard=None, inverse_hazard=None)
+        x = np.array([0.5, 1.0, 2.0, 0.5, 3.0])
+        xi = np.exp(-x) * np.array([0.3, 0.9, 0.01, 1.2, 1.01])
+        s = hazard_crossing(model, x[:, None], 0, xi, horizon=model.flow.hit_plus(x[:, None], 0))
+        np.testing.assert_allclose(s[:3], -np.log1p(-xi[:3] * np.exp(x[:3])), rtol=0, atol=1e-9)
+        assert np.all(np.isinf(s[3:]))
 
     def test_negative_time_rejected(self):
         model = exponential_growth_model()

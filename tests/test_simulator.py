@@ -163,6 +163,18 @@ class TestEstimateDensity:
         _, censored = estimate_density(m3, init, 1.0, 2000, 23, max_jumps=3)
         assert censored == ens.censored / 2000
 
+    def test_cell_cycle_root_finding_matches_the_closed_form_inverse(self):
+        # without hazard_anti_inv the engine finds each phase-I holding time by root finding
+        p = CellCycleParams(n_x=40, x_max=8.0, n_y=4)
+        closed = build_cell_cycle(p)
+        found = build_cell_cycle(dataclasses.replace(p, hazard_anti_inv=None))
+        assert closed.inverse_hazard is not None and found.inverse_hazard is None
+        init = GridDensity.uniform(closed.grid)
+        want = estimate_density(closed, init, 2.0, 3000, 29)
+        got = estimate_density(found, init, 2.0, 3000, 29)
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[1] == want[1]
+
     def test_sampler_leaving_the_state_space_raises(self, m1):
         def outside(X, mode, rng):
             return np.full_like(X, 2.0), np.zeros(X.shape[0], dtype=np.int64)
