@@ -17,7 +17,6 @@ from .core import (
     ModeBlock,
     ModelError,
     NoInvariantDensityError,
-    OUT_OF_DOMAIN,
     PdmpError,
     PdmpModel,
     StatePoint,

@@ -102,7 +102,7 @@ def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans
     seg = np.flatnonzero(rows[1:] == rows[:-1])
     r, t0, t1 = rows[seg], times[seg], times[seg + 1]
     cells = model.grid.locate(model.flow.phi(-0.5 * (t0 + t1), X[r], mode), mode)
-    keep = (cells >= 0) & (t1 > t0) & (exponent[seg] < EXPONENT_CUTOFF)
+    keep = (cells >= 0) & (t1 > t0)
     r, t0, t1, seg = r[keep], t0[keep], t1[keep], seg[keep]
     de = np.maximum(exponent[seg + 1] - exponent[seg], 0.0)
     n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
@@ -121,8 +121,10 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
 
     Each backward orbit stops at the first of: the inflow boundary, an outer
     face of the grid (a tie with the boundary counts as boundary), and the
-    discount cutoff.  Its segments between face crossings are integrated by
-    Gauss quadrature, a batch of rows at a time."""
+    point where its discount exponent lam t + H(t) reaches the cutoff; one
+    ``hazard_crossing`` call decides this for all rows.  Its segments between
+    face crossings are integrated by Gauss quadrature, a batch of rows at a
+    time."""
     n = X.shape[0]
     axes = [(k, ax) for k, ax in enumerate(model.grid.block(mode).axes)
             if isinstance(ax, ContinuousAxis)]
@@ -131,15 +133,12 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
     for k, ax in axes:
         t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([ax.lo, ax.hi], n), ax.dx)
         end = np.minimum(end, np.where(t > 0, t, np.inf).reshape(2, n).min(axis=0))
-    endless = np.isinf(end)
-    if endless.any():  # cut at the discount cutoff; inf when the exponent stays below it
-        end[endless] = hazard_crossing(model, X[endless], mode, EXPONENT_CUTOFF, lam, backward=True)
-        if np.isinf(end).any():
-            raise DivergentIntegralError(f"backward line integral of {model.name!r} diverges in "
-                                         f"mode {mode} at discount {lam}: an orbit never leaves "
-                                         "the grid and its discount exponent stays bounded")
-    if lam > 0:
-        end = np.minimum(end, EXPONENT_CUTOFF / lam)
+    # cut where the discount exponent reaches the cutoff; inf when it stays below it forever
+    end = hazard_crossing(model, X, mode, EXPONENT_CUTOFF, lam, horizon=end, backward=True)
+    if np.isinf(end).any():
+        raise DivergentIntegralError(f"backward line integral of {model.name!r} diverges in "
+                                     f"mode {mode} at discount {lam}: an orbit never leaves "
+                                     "the grid and its discount exponent stays bounded")
     Z = model.flow.phi(-end, X, mode)
 
     # the interior faces crossed on each axis lie between the start and end coordinates
@@ -160,12 +159,12 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
                               shape=(n, model.grid.n_cells))
 
     # orbits that end on the inflow boundary pick up its density there
-    eb = lam * end + orbit_hazard(model, Z, mode, end)
-    wall = (hit <= end) & (eb < EXPONENT_CUTOFF)
+    wall = hit <= end
     if not wall.any():
         return m_int, sparse.csr_matrix((n, model.gamma_minus.n_cells))
     if model.gamma_minus.axis is None:
         raise ModelError(f"model {model.name!r} declares no axis for its inflow boundary")
+    eb = lam * end + orbit_hazard(model, Z, mode, end)
     idx, w = model.gamma_minus.stencil(Z)
     weight = np.where(wall, np.exp(-eb) * np.asarray(model.flow.jac(-end, X, mode), dtype=float), 0.0)
     m_wall = _csr_rows(idx, weight[:, None] * w, model.gamma_minus.n_cells)

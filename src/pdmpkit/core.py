@@ -31,7 +31,6 @@ __all__ = [
     "ConvergenceError",
     "NoInvariantDensityError",
     "StatePoint",
-    "OUT_OF_DOMAIN",
     "ContinuousAxis",
     "DiscreteAxis",
     "ModeBlock",
@@ -102,23 +101,6 @@ class StatePoint:
 
     def __repr__(self):  # keep short for error messages
         return f"StatePoint({np.array2string(self.coords, precision=6)}, mode={self.mode})"
-
-
-class _OutOfDomain:
-    """Sentinel returned by :func:`advance` when the flow leaves the chart."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OUT_OF_DOMAIN"
-
-
-OUT_OF_DOMAIN = _OutOfDomain()
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +575,8 @@ def advance(model: PdmpModel, x: StatePoint, t: float):
 
     Returns ``phi_t(x)`` when the whole segment stays in the interior, a
     ``(StatePoint, hit_sign)`` tuple clamped at the boundary when ``|t|``
-    reaches the hitting time, or :data:`OUT_OF_DOMAIN` when the flow leaves
-    the model's chart without crossing a declared boundary.
+    reaches the hitting time.  Raises :class:`ModelError` when the flow
+    leaves the model's chart without crossing a declared boundary.
     """
     if not np.isfinite(t):
         raise ValueError("advance requires a finite time")
@@ -614,7 +596,7 @@ def advance(model: PdmpModel, x: StatePoint, t: float):
             return StatePoint(z, x.mode), "minus"
     P = model.flow.phi(float(t), X, x.mode)
     if not model.in_state_space(P, x.mode)[0]:
-        return OUT_OF_DOMAIN
+        raise ModelError(f"flow of {model.name!r} left the chart from {x} within t={t}")
     return StatePoint(P[0], x.mode)
 
 

@@ -24,7 +24,6 @@ from .core import (
     ContinuousAxis,
     GridDensity,
     ModelError,
-    OUT_OF_DOMAIN,
     PdmpModel,
     StatePoint,
     advance,
@@ -102,10 +101,7 @@ def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 
     if cause == "boundary-hit":  # sigma is the hitting time itself, so advance clamps
         pre, cause_out = moved[0], "boundary-jump"
     else:
-        pre = moved[0] if isinstance(moved, tuple) else moved
-        if pre is OUT_OF_DOMAIN:
-            raise ModelError(f"flow left the chart before the sampled jump at t={t0 + sigma}")
-        cause_out = "rate-jump"
+        pre, cause_out = moved, "rate-jump"
     X, modes = _sample_jumps(model, pre.coords[None, :], pre.mode, rng)
     return PathEvent(t0 + sigma, cause_out, pre, StatePoint(X[0], int(modes[0])))
 
@@ -131,8 +127,6 @@ def simulate_path(
             final = advance(model, x, horizon - t)
             if isinstance(final, tuple):
                 final = final[0]
-            if final is OUT_OF_DOMAIN:
-                raise ModelError("flow left the chart before the horizon")
             return Path(x0, tuple(events), final, censored=False)
         events.append(ev)
         t, x = ev.time, ev.post_state
@@ -241,30 +235,22 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             s = _hazard_crossings(model, Xm, m, xi[k], tp)
             if np.isnan(s).any():
                 raise ModelError(f"holding time of {model.name!r} is NaN in mode {m}")
-            hit = s >= tp  # boundary first; with tp = inf, no event at all
-            sigma = np.where(hit, tp, s)
+            sigma = np.minimum(s, tp)  # boundary first; with tp = inf, no event at all
             end = clock[rows] + sigma
             if segment is not None:
                 segment(rows, Xm, m, clock[rows], np.minimum(end, t))
             go = end <= t
-            stay = ~go
-            if stay.any():
-                rem = t - clock[rows[stay]]
-                clamp = rem >= tp[stay]
-                final = model.flow.phi(np.where(clamp, tp[stay], rem), Xm[stay], m)
-                if not np.all(clamp | model.in_state_space(final, m)):
-                    raise ModelError("flow left the chart before the horizon")
-                X[rows[stay]] = final
+            # one flow step per path, to its jump or to t; rows clamped at Gamma+ are not checked
+            dt = np.where(go, sigma, np.minimum(t - clock[rows], tp))
+            Y = model.flow.phi(dt, Xm, m)
+            inside = (dt >= tp) | model.in_state_space(Y, m)
+            if not np.all(inside):
+                raise ModelError(f"flow of {model.name!r} left the chart in mode {m} before "
+                                 f"t={(clock[rows] + dt)[np.argmin(inside)]}")
+            X[rows] = Y
             if go.any():
                 r = rows[go]
-                pre = model.flow.phi(sigma[go], Xm[go], m)
-                inside = hit[go] | model.in_state_space(pre, m)
-                if not np.all(inside):
-                    raise ModelError(
-                        "flow left the chart before the sampled jump at "
-                        f"t={end[go][np.argmin(inside)]}"
-                    )
-                X[r], modes[r] = _sample_jumps(model, pre, m, rng)
+                X[r], modes[r] = _sample_jumps(model, Y[go], m, rng)
                 clock[r] = end[go]
                 jumps[r] += 1
                 jumped.append(r)

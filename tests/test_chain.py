@@ -86,6 +86,15 @@ class TestR0:
         assert all(a > b for a, b in zip(masses, masses[1:]))
 
 
+def _reach(m_int, x):
+    """How far behind its center each row of a 1-d drift's R0 reaches: the
+    distance to the center of its farthest cell."""
+    coo = m_int.tocoo()
+    farthest = np.full(x.size, np.inf)
+    np.minimum.at(farthest, coo.row, x[coo.col])
+    return x - farthest
+
+
 class TestR0Builder:
     """The batched R0 assembly from a model's face-time hook."""
 
@@ -125,6 +134,26 @@ class TestR0Builder:
             a, b = a.toarray(), b.toarray()
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.abs(b).max(initial=0.0))
+
+    def test_cutoff_stops_drifting_orbits(self):
+        # m1 at lam = 100: the discount exponent 100 t reaches the cutoff 45 at t = 0.45, so
+        # only orbits from x < 0.45 reach Gamma- (with weight e^{-100 x}), and no row
+        # reaches more than 0.45 behind its center
+        m1 = build_drift_redistribute("m1", n_cells=200)
+        m_int, b_int, _, _ = chain._matrices(m1, 100.0)
+        x = m1.grid.blocks[0].centers[:, 0]
+        want = np.where(x < 0.45, np.exp(-100.0 * x), 0.0)
+        np.testing.assert_allclose(b_int.toarray()[:, 0], want, rtol=1e-12, atol=0)
+        assert _reach(m_int, x).max() <= 0.45 + 1e-9
+
+    def test_cutoff_stops_orbits_that_never_hit_gamma_minus(self):
+        # m2 on (0, 10) at lam = 9: orbits leave through the face at 0 or stop at t = 45/9
+        m2 = build_drift_redistribute("m2", n_cells=200, span=(0.0, 10.0))
+        m_int = chain._matrices(m2, 9.0)[0]
+        x = m2.grid.blocks[0].centers[:, 0]
+        reach = _reach(m_int, x)
+        assert reach.max() <= 5.0 + 1e-9
+        np.testing.assert_allclose(reach[x > 5.0], 5.0, rtol=0, atol=1e-9)
 
     def test_wrong_face_times_are_refused(self):
         m1 = build_drift_redistribute("m1", n_cells=20)

@@ -16,7 +16,6 @@ from pdmpkit.core import (
     JumpLaw,
     ModeBlock,
     ModelError,
-    OUT_OF_DOMAIN,
     PdmpModel,
     StatePoint,
     advance,
@@ -306,11 +305,6 @@ def test_gauss3_is_exact_for_quintics():
     c = np.array([1.0, -2.0, 0.5, 3.0])  # per-interval scale: f must see the right index
     got = gauss3(a, b, np.array([1, 3, 7, 2]), lambda t, seg: c[seg] * quintic(t))
     np.testing.assert_allclose(got, c * (anti(b) - anti(a)), rtol=1e-12)
-
-
-def test_out_of_domain_sentinel_is_singleton():
-    assert OUT_OF_DOMAIN is type(OUT_OF_DOMAIN)()
-    assert repr(OUT_OF_DOMAIN) == "OUT_OF_DOMAIN"
 
 
 def test_boundary_grid_empty():

@@ -11,6 +11,7 @@ from pdmpkit import (
     KineticSlabParams,
     ModelError,
     StatePoint,
+    advance,
     build_cell_cycle,
     build_drift_redistribute,
     build_kinetic_slab,
@@ -188,6 +189,19 @@ class TestEstimateDensity:
         chart = dataclasses.replace(m2, in_state_space=lambda X, m: X[:, 0] <= 3.0)
         with pytest.raises(ModelError):
             estimate_density(chart, StatePoint(np.array([2.5]), 0), 1.0, 10, 3)
+
+    def test_scalar_flow_leaving_the_chart_raises(self):
+        m2 = build_drift_redistribute("m2", n_cells=50, span=(0.0, 5.0))
+        chart = dataclasses.replace(m2, in_state_space=lambda X, m: X[:, 0] <= 3.0)
+        x, rng = StatePoint(np.array([2.5]), 0), np.random.default_rng(0)
+        with pytest.raises(ModelError, match="left the chart"):
+            advance(chart, x, 1.0)
+        with pytest.raises(ModelError, match="left the chart"):
+            simulate_path(chart, x, 1.0, rng)
+        # a rate jump one time unit on: the flow to it leaves the chart first
+        timed = dataclasses.replace(chart, inverse_hazard=lambda X, m, xi: np.ones_like(xi))
+        with pytest.raises(ModelError, match="left the chart"):
+            step(timed, x, rng)
 
 
 def _coarse_bins(model, coarse):
