@@ -10,12 +10,23 @@ discount lam gives, at a point x,
 
 with H the hazard integral along the backward orbit.  The same formula at a
 point of the outgoing boundary gives the trace of R0 there.  Everything is
-assembled once per (model, discount) into sparse matrices, a batch of rows at
-a time: the model's face-time hook ``backward_orbit`` gives the times at which
-each backward orbit crosses the grid faces, each segment between crossings is
-integrated by Gauss quadrature on sub-intervals short enough that the
-discount factor varies slowly, and the boundary hit contributes a point
-factor spread over the inflow boundary's axis stencil.
+assembled once per (model, discount) into sparse factors.  ``_rows`` builds
+rows a batch at a time: the model's face-time hook ``backward_orbit`` gives
+the times at which each backward orbit crosses the grid faces, each segment
+between crossings is integrated by Gauss quadrature on sub-intervals short
+enough that the discount factor varies slowly, the boundary hit contributes
+a point factor spread over the inflow boundary's axis stencil, and an orbit
+is cut where its discount exponent reaches EXPONENT_CUTOFF.
+
+A block with one continuous axis (m1-m3, the slab, cell-cycle phase I) is
+swept face to face, as in the upwind sweep of discrete-ordinates transport
+codes: the exponent is additive along an orbit and J a cocycle, so the row at
+x is its own row up to the first face z its orbit crosses plus
+e^{-lam t - H(t)} J_{-t}(x) times the row at z.  Its rows stop at their first
+face and one sparse LU solve over the face points carries them on: O(n)
+stored entries where whole rows hold O(n^2).  The cutoff then only ends
+orbits that reach no face (static orbits); a drifting orbit keeps its tail.
+Blocks with more continuous axes (cell-cycle phase II) keep whole rows.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .core import (
     EXPONENT_CUTOFF,
@@ -116,20 +128,24 @@ def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans
     return np.bincount(r, minlength=n), cells[keep], gauss3(t0, t1, n_sub, integrand)
 
 
-def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
-    """R0 rows at the points X of one mode: (interior CSR, inflow-boundary CSR).
+def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.inf):
+    """R0 rows at the points X of one mode: (interior CSR, inflow-boundary CSR,
+    transfer factors).
 
     Each backward orbit stops at the first of: the inflow boundary, an outer
-    face of the grid (a tie with the boundary counts as boundary), and the
-    point where its discount exponent lam t + H(t) reaches the cutoff; one
-    ``hazard_crossing`` call decides this for all rows.  Its segments between
-    face crossings are integrated by Gauss quadrature, a batch of rows at a
-    time."""
+    face of the grid (a tie with the boundary counts as boundary), its
+    ``horizon`` (a scalar or one time per row), and the point where its
+    discount exponent lam t + H(t) reaches the cutoff; one ``hazard_crossing``
+    call decides this for all rows.  Its segments between face crossings are
+    integrated by Gauss quadrature, a batch of rows at a time.  An orbit
+    stopped by its horizon gets the transfer factor e^{-lam t - H(t)} J_{-t}
+    there; every other row gets 0."""
     n = X.shape[0]
     axes = [(k, ax) for k, ax in enumerate(model.grid.block(mode).axes)
             if isinstance(ax, ContinuousAxis)]
     hit = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
-    end = hit.copy()
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
+    end = np.minimum(hit, horizon)
     for k, ax in axes:
         t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([ax.lo, ax.hi], n), ax.dx)
         end = np.minimum(end, np.where(t > 0, t, np.inf).reshape(2, n).min(axis=0))
@@ -158,23 +174,47 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float):
     m_int = sparse.csr_matrix((weights, cells, np.concatenate(([0], np.cumsum(counts)))),
                               shape=(n, model.grid.n_cells))
 
-    # orbits that end on the inflow boundary pick up its density there
+    # orbits that end on the inflow boundary pick up its density there; those
+    # stopped by their horizon hand on to the row at their end
     wall = hit <= end
+    factor = np.exp(-(lam * end + orbit_hazard(model, Z, mode, end))) \
+        * np.asarray(model.flow.jac(-end, X, mode), dtype=float)
+    transfer = np.where(~wall & (end == horizon), factor, 0.0)
     if not wall.any():
-        return m_int, sparse.csr_matrix((n, model.gamma_minus.n_cells))
+        return m_int, sparse.csr_matrix((n, model.gamma_minus.n_cells)), transfer
     if model.gamma_minus.axis is None:
         raise ModelError(f"model {model.name!r} declares no axis for its inflow boundary")
-    eb = lam * end + orbit_hazard(model, Z, mode, end)
     idx, w = model.gamma_minus.stencil(Z)
-    weight = np.where(wall, np.exp(-eb) * np.asarray(model.flow.jac(-end, X, mode), dtype=float), 0.0)
-    m_wall = _csr_rows(idx, weight[:, None] * w, model.gamma_minus.n_cells)
+    m_wall = _csr_rows(idx, np.where(wall, factor, 0.0)[:, None] * w, model.gamma_minus.n_cells)
     m_wall.eliminate_zeros()
-    return m_int, m_wall
+    return m_int, m_wall, transfer
+
+
+def _first_face(model: PdmpModel, mode: int, k: int, X: np.ndarray):
+    """Backward time from each row of X to the first face its orbit crosses on
+    axis k (the nearer of its two neighbouring faces), and that face's index
+    among the interior face points, numbered like the cells with axis k one
+    shorter; inf and -1 where that face is an outer one or there is none."""
+    block, n = model.grid.block(mode), X.shape[0]
+    ax = block.axes[k]
+    j = np.clip(np.concatenate([np.searchsorted(ax.faces, X[:, k], "left") - 1,
+                                np.searchsorted(ax.faces, X[:, k], "right")]), 0, ax.n)
+    t = _face_times(model, np.vstack([X, X]), mode, k, ax.faces[j], ax.dx).reshape(2, n)
+    near = np.argmin(np.where(t > 0, t, np.inf), axis=0)
+    tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
+    idx = [j - 1 if d == k else a.nearest(X[:, d])[0] for d, a in enumerate(block.axes)]
+    col = np.ravel_multi_index(idx, [a.n - (d == k) for d, a in enumerate(block.axes)], mode="clip")
+    inner = (tau > 0) & np.isfinite(tau) & (j > 0) & (j < ax.n)
+    return np.where(inner, tau, np.inf), np.where(inner, col, -1)
 
 
 def _matrices(model: PdmpModel, lam: float):
-    """Sparse R0 matrices for (model, lam): interior->interior,
-    boundary->interior, interior->outflow trace, boundary->outflow trace."""
+    """R0 factors for (model, lam), none holding a reference to the model:
+    (cell rows, outgoing-boundary rows, face rows, LU of I - W).  The rows at
+    the cell centers and outgoing-boundary points are (interior, inflow,
+    pickup) CSR, the pickup putting each row's transfer factor on the face
+    point where its orbit stops; the face points' own rows are (interior,
+    inflow) CSR, and W holds their face-to-face transfers."""
     per_model = _CACHE.setdefault(model, OrderedDict())
     key = float(lam)
     if key in per_model:
@@ -182,11 +222,29 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-    interior = [_rows(model, b.mode, b.centers, lam) for b in model.grid.blocks]
-    m_int = sparse.vstack([m for m, _ in interior], format="csr")
-    b_int = sparse.vstack([m for _, m in interior], format="csr")
-    m_out, b_out = _rows(model, model.gamma_plus.mode, model.gamma_plus.points, lam)
-    per_model[key] = (m_int, b_int, m_out, b_out)
+    swept, n_faces = {}, 0  # mode -> (its continuous axis, its interior face points, their offset)
+    for b in model.grid.blocks:
+        k = [k for k, ax in enumerate(b.axes) if isinstance(ax, ContinuousAxis)]
+        if len(k) == 1 and b.shape[k[0]] > 1:
+            mesh = np.meshgrid(*[a.faces[1:-1] if j == k[0] else a.values
+                                 for j, a in enumerate(b.axes)], indexing="ij")
+            swept[b.mode] = (k[0], np.stack([m.ravel() for m in mesh], axis=-1), n_faces)
+            n_faces += swept[b.mode][1].shape[0]
+
+    def rows(mode, X):
+        if mode not in swept:
+            return *_rows(model, mode, X, lam)[:2], sparse.csr_matrix((len(X), n_faces))
+        tau, col = _first_face(model, mode, swept[mode][0], X)
+        m, bnd, w = _rows(model, mode, X, lam, tau)
+        on = np.flatnonzero(w)
+        return m, bnd, sparse.csr_matrix((w[on], (on, swept[mode][2] + col[on])), (len(X), n_faces))
+
+    stack = lambda parts: [sparse.vstack(m, format="csr") for m in zip(*parts)]
+    cells = stack(rows(b.mode, b.centers) for b in model.grid.blocks)
+    faces = stack(rows(mode, F) for mode, (_, F, _) in swept.items()) or [
+        sparse.csr_matrix((0, n)) for n in (model.grid.n_cells, model.gamma_minus.n_cells, 0)]
+    lu = splu(sparse.identity(n_faces, format="csc") - faces[2].tocsc())
+    per_model[key] = (cells, rows(model.gamma_plus.mode, model.gamma_plus.points), faces[:2], lu)
     if len(per_model) > _CACHE_PER_MODEL:
         per_model.popitem(last=False)
     return per_model[key]
@@ -200,9 +258,10 @@ def apply_R0(model: PdmpModel, pair: DensityPair, lam: float = 0.0):
     """
     if lam < 0:
         raise ValueError("discount must be nonnegative")
-    m_int, b_int, m_out, b_out = _matrices(model, lam)
+    (m, b, p), (m_out, b_out, p_out), (m_face, b_face), lu = _matrices(model, lam)
     f, fb = pair.interior.values, pair.boundary
-    return GridDensity(model.grid, m_int @ f + b_int @ fb), m_out @ f + b_out @ fb
+    g = lu.solve(m_face @ f + b_face @ fb)  # R0 at the face points, swept along each orbit
+    return GridDensity(model.grid, m @ f + b @ fb + p @ g), m_out @ f + b_out @ fb + p_out @ g
 
 
 def apply_K(model: PdmpModel, pair: DensityPair, lam: float = 0.0) -> DensityPair:

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, sparse
 
 from pdmpkit import (
     BoundaryGrid,
@@ -10,6 +12,7 @@ from pdmpkit import (
     DensityPair,
     DivergentIntegralError,
     GridDensity,
+    KineticSlabParams,
     ModelError,
     NoInvariantDensityError,
     StatePoint,
@@ -17,6 +20,7 @@ from pdmpkit import (
     apply_R0,
     build_cell_cycle,
     build_drift_redistribute,
+    build_kinetic_slab,
     invariant_of_K,
     k_stochasticity_defect,
     lift_invariant,
@@ -31,6 +35,25 @@ from test_core import exponential_growth_model
 
 def uniform_pair(model):
     return DensityPair(GridDensity.uniform(model.grid), np.zeros(model.gamma_minus.n_cells))
+
+
+def r0_blocks(model, lam):
+    """The four R0 blocks (interior and outgoing-boundary rows, interior and
+    inflow-boundary columns) as dense arrays, one apply_R0 per unit vector."""
+    n, n_b, n_p = model.grid.n_cells, model.gamma_minus.n_cells, model.gamma_plus.n_cells
+    A = np.zeros((n + n_p, n + n_b))
+    for i, e in enumerate(np.eye(n + n_b)):
+        r, out = apply_R0(model, DensityPair(GridDensity(model.grid, e[:n]), e[n:]), lam)
+        A[:, i] = np.concatenate([r.values, out])
+    return A[:n, :n], A[:n, n:], A[n:, :n], A[n:, n:]
+
+
+def dense_r0(model, lam):
+    """The whole-row R0 of chain._rows at the cell centers and the outgoing-boundary
+    points: (interior rows, outgoing rows), each an (interior, inflow) CSR pair."""
+    cells = [chain._rows(model, b.mode, b.centers, lam)[:2] for b in model.grid.blocks]
+    cells = tuple(sparse.vstack(m, format="csr") for m in zip(*cells))
+    return cells, chain._rows(model, model.gamma_plus.mode, model.gamma_plus.points, lam)[:2]
 
 
 class TestR0:
@@ -74,7 +97,7 @@ class TestR0:
 
     def test_no_inflow_boundary_gives_empty_boundary_blocks(self):
         m3 = build_drift_redistribute("m3", n_cells=30, q=2.0)
-        m_int, b_int, m_out, b_out = chain._matrices(m3, 0.0)
+        m_int, b_int, m_out, b_out = r0_blocks(m3, 0.0)
         assert m_int.shape == (30, 30)
         assert b_int.shape == (30, 0) and b_out.shape == (0, 0)
         assert m_out.shape == (0, 30)
@@ -127,11 +150,10 @@ class TestR0Builder:
         # m3's orbits never leave the grid: each stops where lam t + q t reaches the
         # cutoff, and R0 is 1 / (lam + q) on the diagonal, with or without a closed form
         m3 = build_drift_redistribute("m3", n_cells=6, q=2.0)
-        want = chain._matrices(m3, lam)
-        got = chain._matrices(dataclasses.replace(m3, cumulative_hazard=None), lam)
-        np.testing.assert_allclose(want[0].toarray(), np.eye(6) / (lam + 2.0), rtol=0, atol=1e-9)
+        want = r0_blocks(m3, lam)
+        got = r0_blocks(dataclasses.replace(m3, cumulative_hazard=None), lam)
+        np.testing.assert_allclose(want[0], np.eye(6) / (lam + 2.0), rtol=0, atol=1e-9)
         for a, b in zip(got, want):
-            a, b = a.toarray(), b.toarray()
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.abs(b).max(initial=0.0))
 
@@ -140,7 +162,7 @@ class TestR0Builder:
         # only orbits from x < 0.45 reach Gamma- (with weight e^{-100 x}), and no row
         # reaches more than 0.45 behind its center
         m1 = build_drift_redistribute("m1", n_cells=200)
-        m_int, b_int, _, _ = chain._matrices(m1, 100.0)
+        m_int, b_int, _ = chain._rows(m1, 0, m1.grid.blocks[0].centers, 100.0)
         x = m1.grid.blocks[0].centers[:, 0]
         want = np.where(x < 0.45, np.exp(-100.0 * x), 0.0)
         np.testing.assert_allclose(b_int.toarray()[:, 0], want, rtol=1e-12, atol=0)
@@ -149,7 +171,7 @@ class TestR0Builder:
     def test_cutoff_stops_orbits_that_never_hit_gamma_minus(self):
         # m2 on (0, 10) at lam = 9: orbits leave through the face at 0 or stop at t = 45/9
         m2 = build_drift_redistribute("m2", n_cells=200, span=(0.0, 10.0))
-        m_int = chain._matrices(m2, 9.0)[0]
+        m_int = chain._rows(m2, 0, m2.grid.blocks[0].centers, 9.0)[0]
         x = m2.grid.blocks[0].centers[:, 0]
         reach = _reach(m_int, x)
         assert reach.max() <= 5.0 + 1e-9
@@ -166,6 +188,63 @@ class TestR0Builder:
         bare = dataclasses.replace(m1, gamma_minus=BoundaryGrid(0, np.array([[0.0]]), np.array([1.0])))
         with pytest.raises(ModelError):
             apply_R0(bare, uniform_pair(bare), 0.0)
+
+
+def _slab(boundary):
+    return build_kinetic_slab(KineticSlabParams(n_x=60, velocities=(-1.0, -0.5, 0.5, 1.0),
+                                                nu_weights=(1.0,) * 4, kernel=np.ones((4, 4)),
+                                                boundary=boundary))
+
+
+SWEPT_CASES = [
+    *[("m1", lambda: build_drift_redistribute("m1", n_cells=200), lam)
+      for lam in (0.0, 1.0, 100.0)],
+    ("m2", lambda: build_drift_redistribute("m2", n_cells=200, span=(0.0, 10.0)), 9.0),
+    ("m3", lambda: build_drift_redistribute("m3", n_cells=50, q=2.0), 0.5),
+    ("exp-growth", lambda: exponential_growth_model(n=20), 0.5),
+    ("specular slab", lambda: _slab("specular"), 0.5),
+    ("diffuse slab", lambda: _slab("diffuse"), 0.5),
+    *[("cell cycle", lambda: build_cell_cycle(CellCycleParams(n_x=200, x_max=20.0, n_y=4)), lam)
+      for lam in (0.0, 0.5, 4.0)],
+]
+
+
+class TestSweep:
+    """R0 on blocks with one continuous axis, swept face to face."""
+
+    @pytest.mark.parametrize("name, build, lam", SWEPT_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in SWEPT_CASES])
+    def test_sweep_matches_whole_rows(self, name, build, lam):
+        model = build()
+        (m_int, b_int), (m_out, b_out) = dense_r0(model, lam)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            f, fb = rng.random(model.grid.n_cells), rng.random(model.gamma_minus.n_cells)
+            r, out = apply_R0(model, DensityPair(GridDensity(model.grid, f), fb), lam)
+            for got, want in ((r.values, m_int @ f + b_int @ fb), (out, m_out @ f + b_out @ fb)):
+                scale = np.abs(want).max(initial=0.0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_cache_does_not_keep_its_model_alive(self):
+        gc.collect()
+        cached = len(chain._CACHE)
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        apply_R0(m1, uniform_pair(m1), 0.0)
+        assert len(chain._CACHE) == cached + 1
+        ref = weakref.ref(m1)
+        del m1
+        gc.collect()
+        assert ref() is None
+        assert len(chain._CACHE) == cached
+
+    def test_cell_cycle_rows_stay_linear_in_the_grid(self):
+        # phase I of the 2000 x 4 cell cycle held 2.0 M nonzeros as whole rows; swept, the
+        # rows at the cell centers, the face points and the factorized transfer stay
+        # under 0.5 M, nearly all of them the whole rows of phase II
+        model = build_cell_cycle(CellCycleParams(n_x=2000, x_max=20.0, n_y=4))
+        cells, _, faces, lu = chain._matrices(model, 0.0)
+        stored = [*cells, *faces, lu.L, lu.U]
+        assert sum(m.nnz for m in stored) < 500_000
 
 
 class TestK:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from pdmpkit import (
     CellCycleParams,
@@ -114,11 +113,8 @@ class TestCellCycleModel:
         # at (x, y) integrates 1 over the min(x, y) the orbit spends inside
         # the grid, and reaches the inflow boundary only when y <= x
         m = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
-        m_int, b_int, m_out, b_out = chain._matrices(m, 0.0)
-        phase2 = m.grid.block_slice(1)
-        rows = sparse.vstack([m_int[phase2], m_out], format="csr")
-        b_rows = sparse.vstack([b_int[phase2], b_out], format="csr")
         X = np.vstack([m.grid.centers(1), m.gamma_plus.points])
+        rows, b_rows, _ = chain._rows(m, 1, X, 0.0)
         np.testing.assert_allclose(rows.sum(axis=1).A1, np.minimum(X[:, 0], X[:, 1]),
                                    rtol=0, atol=1e-12)
         short = np.flatnonzero(X[:, 0] < X[:, 1])
