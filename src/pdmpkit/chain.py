@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .core import (
     EXPONENT_CUTOFF,
@@ -72,7 +72,7 @@ _BATCH_NODES = 1 << 17   # quadrature nodes per batch of rows, at two sub-interv
 
 _FACE_TOL = 1e-9         # a face time must put the orbit on its face to this many cell widths
 
-_DAMPING = 0.5           # weight of the new sweep when it is averaged with the previous iterate
+_ARPACK_K, _ARPACK_NCV = 2, 20  # eigenvalues sought (+1 and -1 for a period-two chain), basis size
 
 _CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
 
@@ -250,31 +250,59 @@ def _matrices(model: PdmpModel, lam: float):
     return per_model[key]
 
 
+class ChainOperator(LinearOperator):
+    """K_lam (jump law, rate, R0) on stacked (interior, inflow-boundary) vectors of
+    either sign, as Krylov solvers need and GridDensity forbids; ``weights`` give
+    their L1 norm, ``applications`` counts the applications of K."""
+
+    def __init__(self, model: PdmpModel, lam: float):
+        if lam < 0:
+            raise ValueError("discount must be nonnegative")
+        self.model, self.factors, self.theta = model, _matrices(model, lam), model.rate_values()
+        self.weights = np.concatenate([model.grid.weights, model.gamma_minus.weights])
+        self.applications = 0
+        super().__init__(float, (self.weights.size,) * 2)
+
+    def r0(self, x: np.ndarray):
+        """R0 of a stacked vector: (interior values, outgoing-boundary trace)."""
+        (m, b, p), (m_out, b_out, p_out), (m_face, b_face), lu = self.factors
+        f, fb = x[:m.shape[1]], x[m.shape[1]:]
+        g = lu.solve(m_face @ f + b_face @ fb)  # R0 at the face points, swept along each orbit
+        return m @ f + b @ fb + p @ g, m_out @ f + b_out @ fb + p_out @ g
+
+    def _matvec(self, x):
+        self.applications += 1
+        r_int, r_out = self.r0(np.ravel(x))
+        h, jump = self.theta * r_int, self.model.jump
+        return np.concatenate([jump.p0(h, r_out), jump.p_partial(h, r_out)])
+
+
+def _pair(model: PdmpModel, x: np.ndarray) -> DensityPair:
+    return DensityPair(GridDensity(model.grid, x[:model.grid.n_cells]), x[model.grid.n_cells:])
+
+
 def apply_R0(model: PdmpModel, pair: DensityPair, lam: float = 0.0):
     """Discounted backward line integral of a density pair.
 
     Returns (interior: GridDensity with the R0 values on the interior grid,
     outflux: values of the R0 trace on the outgoing-boundary cells).
     """
-    if lam < 0:
-        raise ValueError("discount must be nonnegative")
-    (m, b, p), (m_out, b_out, p_out), (m_face, b_face), lu = _matrices(model, lam)
-    f, fb = pair.interior.values, pair.boundary
-    g = lu.solve(m_face @ f + b_face @ fb)  # R0 at the face points, swept along each orbit
-    return GridDensity(model.grid, m @ f + b @ fb + p @ g), m_out @ f + b_out @ fb + p_out @ g
+    x = np.concatenate([pair.interior.values, pair.boundary])
+    r_int, r_out = ChainOperator(model, lam).r0(x)
+    return GridDensity(model.grid, r_int), r_out
 
 
 def apply_K(model: PdmpModel, pair: DensityPair, lam: float = 0.0) -> DensityPair:
     """One step of the (discounted) embedded jump chain on densities."""
-    r_int, r_out = apply_R0(model, pair, lam)
-    return model.post_jump(model.rate_values() * r_int.values, r_out)
+    x = np.concatenate([pair.interior.values, pair.boundary])
+    return _pair(model, ChainOperator(model, lam) @ x)
 
 
 @dataclass
 class InvariantResult:
     pair: DensityPair
-    iterations: int
-    increment: float   # final L1 Cauchy increment between normalized sweeps
+    iterations: int    # applications of K
+    increment: float   # L1 distance between K pair and pair
     mass_ratio: float  # |K pair| / |pair| at the fixed point (1 when stochastic)
     residual: float    # L1 distance between normalize(K pair) and pair
 
@@ -285,51 +313,46 @@ def invariant_of_K(
     tol: float = 1e-10,
     max_iters: int = 500,
 ) -> InvariantResult:
-    """Invariant density pair of the jump chain by normalized power iteration.
+    """Invariant density pair of the jump chain: the eigenvector of K at 1.
 
-    The iteration averages each sweep with the previous iterate (fixed
-    points are unchanged) — some chains alternate strictly between interior
-    and boundary post-jump states, and the plain iteration would cycle on
-    them forever.  Convergence is declared on the L1 Cauchy increment of the
-    normalized iterates; the one-step residual of the returned pair is
-    reported alongside.  If the chain is strictly substochastic and the
-    iterates lose all mass, no invariant density exists and an error is
-    raised.
+    The first application of K to ``init`` raises NoInvariantDensityError
+    when it loses the mass, and returns ``init`` if its one-step residual is
+    below tol.  Otherwise ARPACK (``eigs`` from ``init``, relative accuracy
+    tol) gives the eigenvector of the largest real positive eigenvalue (-1 is
+    on the unit circle too when the chain alternates between interior and
+    boundary states), turned to positive mass, cleared of roundoff negatives
+    and normalized.  ARPACK's restarts are capped at about max_iters
+    applications of K (at least one restart: about 2 ncv applications).
     """
     if init is None:
         init = DensityPair(GridDensity.uniform(model.grid), np.zeros(model.gamma_minus.n_cells))
-    norm = init.norm(model)
-    if norm <= 0:
+    if init.norm(model) <= 0:
         raise ValueError("initial pair must have positive mass")
-    pair = init.scaled(1.0 / norm)
-    increment = math.inf
-    for it in range(1, max_iters + 1):
-        swept = apply_K(model, pair, 0.0)
-        mass = swept.norm(model)
-        if mass < 1e-8:
-            raise NoInvariantDensityError(
-                f"jump-chain iterates of {model.name!r} lost their mass "
-                f"(|K pair| = {mass:.3e}); the chain has no invariant density"
-            )
-        mixed = DensityPair(
-            GridDensity(
-                model.grid,
-                _DAMPING * swept.interior.values + (1.0 - _DAMPING) * pair.interior.values,
-            ),
-            _DAMPING * swept.boundary + (1.0 - _DAMPING) * pair.boundary,
-        )
-        mixed = mixed.scaled(1.0 / mixed.norm(model))
-        increment = mixed.l1(pair, model)
-        pair = mixed
-        if increment < tol:
-            final = apply_K(model, pair, 0.0)
-            mass = final.norm(model)
-            residual = final.scaled(1.0 / mass).l1(pair, model)
-            return InvariantResult(pair, it, increment, mass, residual)
-    raise ConvergenceError(
-        f"jump-chain power iteration on {model.name!r} did not converge "
-        f"within {max_iters} sweeps (increment {increment:.3e})"
-    )
+    op = ChainOperator(model, 0.0)
+    x = np.concatenate([init.interior.values, init.boundary]) / init.norm(model)
+    kx = op @ x
+    mass = float(kx @ op.weights)
+    if mass < 1e-8:
+        raise NoInvariantDensityError(f"jump-chain iterates of {model.name!r} lost their mass (|K "
+                                      f"pair| = {mass:.3e}); the chain has no invariant density")
+    if float(np.abs(kx / mass - x) @ op.weights) >= tol:
+        ncv = min(_ARPACK_NCV, op.shape[0])
+        try:
+            vals, vecs = eigs(op, _ARPACK_K, ncv=ncv, v0=x, tol=tol,
+                              maxiter=max((max_iters - ncv) // (ncv - _ARPACK_K), 1))
+        except ArpackNoConvergence:
+            raise ConvergenceError(f"ARPACK found no invariant pair of {model.name!r} within "
+                                   f"about {max_iters} applications of K") from None
+        real = np.where((np.abs(vals.imag) <= tol * np.abs(vals)) & (vals.real > 0), vals.real, 0)
+        if not real.any():
+            raise ConvergenceError(f"K of {model.name!r} has no real positive eigenvalue in {vals}")
+        x = vecs[:, np.argmax(real)].real
+        x = np.maximum(x * np.sign(x @ op.weights), 0.0)
+        x /= float(x @ op.weights)
+        kx = op @ x
+        mass = float(kx @ op.weights)
+    return InvariantResult(_pair(model, x), op.applications, float(np.abs(kx - x) @ op.weights),
+                           mass, float(np.abs(kx / mass - x) @ op.weights))
 
 
 def lift_invariant(model: PdmpModel, pair: DensityPair):

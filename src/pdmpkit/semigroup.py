@@ -5,20 +5,21 @@ step: trace each cell center backward along the flow, interpolate, and
 weight by the volume cocycle and the survival factor; for a step length h
 that is one sparse matrix, and so are the boundary traces.  The evolution
 splits each step into the free step, the jump gain and boundary injection,
-and assembles its matrices once per step length.  The resolvent is summed as
-the perturbation series using the jump-chain building blocks.
+and assembles its matrices once per step length.  The resolvent solves the
+perturbation theorem's chain equation (I - K) p = (f, 0) by GMRES.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, gmres
 
-from .core import DensityPair, GridDensity, PdmpModel, _csr_rows, orbit_hazard
+from .chain import ChainOperator
+from .core import GridDensity, PdmpModel, _csr_rows, orbit_hazard
 
 __all__ = [
     "transport_step",
@@ -30,6 +31,8 @@ __all__ = [
     "resolvent_G",
     "ResolventResult",
 ]
+
+_GMRES_RESTART = 50  # Krylov basis size kept between GMRES restarts
 
 
 def _free_step(model: PdmpModel, h: float):
@@ -147,9 +150,9 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
 @dataclass
 class ResolventResult:
     density: GridDensity
-    terms: int
+    terms: int         # applications of K
     converged: bool
-    tail_mass: float  # mass of the first neglected chain term
+    tail_mass: float   # L1 mass of the final residual pair (f, 0) - (I - K) p
 
 
 def resolvent_G(
@@ -159,26 +162,19 @@ def resolvent_G(
     tol: float = 1e-10,
     max_terms: int = 500,
 ) -> ResolventResult:
-    """Resolvent of the full generator as the perturbation series
-    sum_n (free resolvent . jump)^n . free resolvent, truncated when the
-    chain term's mass falls below tol x mass(f)."""
-    from . import chain  # deferred import; chain also uses trace_plus above
-
+    """Resolvent of the full generator by the perturbation theorem: R(lam) f =
+    R0 sum_n K^n (f, 0) = R0 p with (I - K) p = (f, 0), p by GMRES in at most
+    max_terms iterations (one application of K each).  Converged means the
+    residual pair's mass is at most tol x mass(f)."""
     if lam <= 0:
-        raise ValueError("the resolvent series needs a positive discount")
-    pair = DensityPair(f, np.zeros(model.gamma_minus.n_cells))
-    total = np.zeros(model.grid.n_cells)
-    fnorm = max(f.total_mass, 1e-300)
-    theta = model.rate_values()
-    tail = math.inf
-    converged = False
-    terms = 0
-    for terms in range(1, max_terms + 1):
-        r_int, r_out = chain.apply_R0(model, pair, lam)
-        total += r_int.values
-        pair = model.post_jump(theta * r_int.values, r_out)
-        tail = pair.norm(model)
-        if tail < tol * fnorm:
-            converged = True
-            break
-    return ResolventResult(GridDensity(model.grid, total), terms, converged, tail)
+        raise ValueError("the resolvent needs a positive discount")
+    K = ChainOperator(model, lam)
+    b = np.concatenate([f.values, np.zeros(model.gamma_minus.n_cells)])
+    goal = tol * f.total_mass
+    # |r|_L1 <= |weights|_2 |r|_2, so this 2-norm target bounds the residual's mass by goal
+    p, _ = gmres(LinearOperator(K.shape, lambda x: x - K @ x, dtype=float), b, rtol=0.0,
+                 atol=goal / np.linalg.norm(K.weights), restart=min(_GMRES_RESTART, max_terms),
+                 maxiter=max(max_terms // _GMRES_RESTART, 1))
+    tail = float(np.abs(b - p + K @ p) @ K.weights)
+    density = GridDensity(model.grid, np.maximum(K.r0(p)[0], 0.0))  # clip the solve's roundoff
+    return ResolventResult(density, K.applications, tail <= goal, tail)

@@ -192,7 +192,7 @@ def resolvent_duality(
 ):
     """Two routes to the resolvent pairing <R f, psi>.
 
-    Left: the truncated perturbation series paired on the grid.  Right:
+    Left: the resolvent_G solve paired on the grid.  Right:
     Monte Carlo average over X(0) ~ f of the discounted time integral of
     psi along paths of the batched engine (so, as there, every mode must
     have the same dimension), stopped where a path leaves the gridded

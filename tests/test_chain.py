@@ -9,6 +9,7 @@ from scipy import integrate, sparse
 from pdmpkit import (
     BoundaryGrid,
     CellCycleParams,
+    ConvergenceError,
     DensityPair,
     DivergentIntegralError,
     GridDensity,
@@ -283,6 +284,29 @@ class TestK:
         assert l1 < 0.05
 
 
+def power_invariant(model, tol=1e-14, max_iters=20_000):
+    """The chain's invariant pair by normalized power iteration, each sweep
+    averaged with the previous iterate so that a chain alternating between
+    interior and boundary states settles too: the oracle for invariant_of_K."""
+    pair = uniform_pair(model)
+    for _ in range(max_iters):
+        swept = apply_K(model, pair, 0.0)
+        mean = 0.5 * (swept.interior.values + pair.interior.values)
+        mixed = DensityPair(GridDensity(model.grid, mean), 0.5 * (swept.boundary + pair.boundary))
+        mixed = mixed.scaled(1.0 / mixed.norm(model))
+        if mixed.l1(pair, model) < tol:
+            return mixed
+        pair = mixed
+    raise AssertionError(f"the power iteration did not converge in {max_iters} sweeps")
+
+
+_INVARIANT_CASES = [
+    ("m1", lambda: build_drift_redistribute("m1", n_cells=150)),
+    ("diffuse slab", lambda: _slab("diffuse")),
+    ("cell cycle", lambda: build_cell_cycle(CellCycleParams(n_x=100, x_max=20.0, n_y=4))),
+]
+
+
 class TestInvariant:
     def test_m1_fixed_point_is_uniform(self):
         m1 = build_drift_redistribute("m1", n_cells=150)
@@ -291,15 +315,28 @@ class TestInvariant:
         assert res.residual < 1e-12
         np.testing.assert_allclose(res.pair.interior.values, 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("name, build", _INVARIANT_CASES,
+                             ids=[name for name, _ in _INVARIANT_CASES])
+    def test_matches_damped_power_iteration(self, name, build):
+        model = build()
+        got, want = invariant_of_K(model, tol=1e-10).pair, power_invariant(model)
+        assert got.l1(want, model) <= 1e-9
+
     def test_cell_cycle_period_two_chain_converges(self):
-        # post-jump states alternate interior/boundary; the damped iteration
-        # must still settle on the half/half invariant pair
+        # post-jump states alternate interior/boundary, so -1 is an eigenvalue
+        # of K too; the solve must still settle on the half/half invariant pair
         model = build_cell_cycle(CellCycleParams(n_x=100, x_max=20.0, n_y=4))
         res = invariant_of_K(model, tol=1e-10)
         assert res.residual < 1e-8
         assert res.pair.interior.total_mass == pytest.approx(0.5, abs=1e-6)
         bmass = float(res.pair.boundary @ model.gamma_minus.weights)
         assert bmass == pytest.approx(0.5, abs=1e-6)
+
+    def test_too_few_applications_of_K_raise(self):
+        # ARPACK needs about 56 applications of K here; one allows a single restart
+        model = build_cell_cycle(CellCycleParams(n_x=400, x_max=20.0, n_y=4))
+        with pytest.raises(ConvergenceError):
+            invariant_of_K(model, max_iters=1)
 
     def test_no_invariant_without_jumps(self):
         m2 = build_drift_redistribute("m2", n_cells=50)

@@ -6,8 +6,10 @@ import pytest
 
 from pdmpkit import (
     CellCycleParams,
+    DensityPair,
     GridDensity,
     KineticSlabParams,
+    apply_R0,
     build_cell_cycle,
     build_drift_redistribute,
     build_kinetic_slab,
@@ -211,6 +213,32 @@ class TestAssembledStep:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
 
+def neumann_resolvent(model, f, lam, tol=1e-14, max_terms=10_000):
+    """The perturbation series R0 sum_n K^n (f, 0), summed term by term until a
+    chain term's mass falls below tol x mass(f): the oracle for resolvent_G."""
+    pair = DensityPair(f, np.zeros(model.gamma_minus.n_cells))
+    total = np.zeros(model.grid.n_cells)
+    for _ in range(max_terms):
+        r_int, r_out = apply_R0(model, pair, lam)
+        total += r_int.values
+        pair = model.post_jump(model.rate_values() * r_int.values, r_out)
+        if pair.norm(model) < tol * f.total_mass:
+            return total
+    raise AssertionError(f"the series did not converge in {max_terms} terms")
+
+
+def _diffuse_slab():
+    return build_kinetic_slab(KineticSlabParams(n_x=60, boundary="diffuse", **_SLAB4))
+
+
+_SERIES_CASES = [
+    *[("diffuse slab", _diffuse_slab, lam) for lam in (0.5, 1.0, 4.0)],
+    ("m1", lambda: build_drift_redistribute("m1", n_cells=200), 1.0),
+    ("m3", lambda: build_drift_redistribute("m3", n_cells=100, q=2.0), 1.0),
+    ("cell cycle", lambda: build_cell_cycle(CellCycleParams(n_x=100, x_max=20.0, n_y=4)), 0.5),
+]
+
+
 class TestResolvent:
     def test_positive_discount_required(self, m1):
         with pytest.raises(ValueError):
@@ -245,7 +273,20 @@ class TestResolvent:
         gap = float(np.abs(res.density.values - acc) @ m1.grid.weights)
         assert gap < 1e-2
 
-    def test_truncation_reported_when_budget_too_small(self, m1):
-        res = resolvent_G(m1, GridDensity.uniform(m1.grid), 0.5, max_terms=3)
+    @pytest.mark.parametrize("name, build, lam", _SERIES_CASES,
+                             ids=[f"{name} lam={lam}" for name, _, lam in _SERIES_CASES])
+    def test_matches_the_neumann_series(self, name, build, lam):
+        model = build()
+        f = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
+        res = resolvent_G(model, f, lam)
+        want = neumann_resolvent(model, f, lam)
+        assert res.converged
+        assert float(np.abs(res.density.values - want) @ model.grid.weights) \
+            <= 1e-9 * float(want @ model.grid.weights)
+
+    def test_truncation_reported_when_budget_too_small(self):
+        # GMRES needs 9 iterations here
+        slab = _diffuse_slab()
+        res = resolvent_G(slab, GridDensity.uniform(slab.grid), 0.5, max_terms=3)
         assert not res.converged
         assert res.tail_mass > 0
