@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
 
 __all__ = [
     "PdmpError",
@@ -56,6 +56,15 @@ __all__ = [
 EXPONENT_CUTOFF = 45.0
 
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+
+# 4-point Gauss-Lobatto rule and its 7-point Kronrod extension on [-1, 1]
+# (Gander & Gautschi, BIT 2000); the nodes include both ends
+_LK_NODES = np.array([-1.0, -math.sqrt(2 / 3), -1 / math.sqrt(5), 0.0,
+                      1 / math.sqrt(5), math.sqrt(2 / 3), 1.0])
+_LK_WEIGHTS = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
+_LK_ERROR = _LK_WEIGHTS - np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
+_HAZARD_RTOL, _HAZARD_ATOL = 1e-10, 1e-12
+_HAZARD_INTERVALS = 200  # per row, before ConvergenceError
 
 
 class PdmpError(Exception):
@@ -620,27 +629,62 @@ def hitting_time(model: PdmpModel, x: StatePoint, sign: str) -> float:
 
 def orbit_hazard(model: PdmpModel, X: np.ndarray, mode: int, t) -> np.ndarray:
     """Integral of the jump rate along the forward orbit from each row of X
-    over [0, t], with ``t`` a scalar or one time per row.
+    over [0, t], with ``t`` a finite scalar or one finite time per row.
 
     Uses the model's closed-form ``cumulative_hazard`` when it has one, else
-    adaptive quadrature row by row (raising :class:`ConvergenceError` when
-    that fails).  For the hazard along a backward orbit from x over [0, t],
-    pass the start points ``phi(-t, x)``.
+    one adaptive Lobatto-Kronrod rule over all rows at once: each row starts
+    from [0, t] cut at 1, 2, 4, ..., and each pass evaluates every new
+    interval with one ``phi`` and one ``rate`` call.  A row is done once its
+    summed |K7 - G4| estimates are at most max(1e-12, 1e-10 |H|); until then
+    the intervals whose estimate exceeds the row's budget per interval are
+    halved.  A rate that is not finite on the orbit, or a row that needs more
+    than 200 intervals (so at most 200 passes), raises
+    :class:`ConvergenceError`.  For the hazard
+    along a backward orbit from x over [0, t], pass the start points
+    ``phi(-t, x)``.
     """
     if model.cumulative_hazard is not None:
         return np.asarray(model.cumulative_hazard(X, mode, t), dtype=float)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
-    out = np.empty(X.shape[0])
-    for i, (x, ti) in enumerate(zip(X, ts)):
-        x = x[None, :]
-        rate_on_orbit = lambda s: float(model.rate(model.flow.phi(float(s), x, mode), mode)[0])
-        val, err = integrate.quad(rate_on_orbit, 0.0, ti, epsrel=1e-8, limit=200)
-        if err > 1e-6 * max(1.0, abs(val)):
-            raise ConvergenceError(
-                "hazard quadrature did not converge; supply cumulative_hazard for this model"
-            )
-        out[i] = val
-    return out
+    n = X.shape[0]
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("orbit_hazard requires finite times")
+    # start intervals [0, 1], [1, 2], [2, 4], ..., ending at t
+    count = 1 + np.ceil(np.log2(np.maximum(ts, 1.0))).astype(np.int64)
+    row = np.repeat(np.arange(n), count)
+    k = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    a, b = np.where(k > 0, 2.0 ** (k - 1), 0.0), np.minimum(2.0**k, ts[row])
+
+    def rule(row, a, b):
+        half = 0.5 * (b - a)
+        S = (a + half)[:, None] + half[:, None] * _LK_NODES
+        S[:, 0], S[:, -1] = a, b  # the ends exactly: no node lies past t
+        f = np.asarray(model.rate(model.flow.phi(S.ravel(), X[np.repeat(row, 7)], mode), mode),
+                       dtype=float).reshape(-1, 7)
+        if not np.isfinite(f).all():
+            raise ConvergenceError(f"the rate of {model.name!r} is not finite along an orbit "
+                                   f"in mode {mode}; its hazard has no value")
+        return half * (f @ _LK_WEIGHTS), np.abs(half * (f @ _LK_ERROR))
+
+    val, err = rule(row, a, b)
+    while True:
+        H = np.bincount(row, val, n)
+        budget = np.maximum(_HAZARD_ATOL, _HAZARD_RTOL * np.abs(H))
+        unmet = np.bincount(row, err, n) > budget
+        if not unmet.any():
+            return H
+        count = np.bincount(row, minlength=n)
+        if count[unmet].max() >= _HAZARD_INTERVALS:
+            raise ConvergenceError(f"hazard quadrature of {model.name!r} did not converge in "
+                                   f"mode {mode}; supply cumulative_hazard for this model")
+        # halve the intervals of unmet rows whose estimate exceeds the row's budget per interval
+        split = err > np.where(unmet, budget / count, np.inf)[row]
+        keep, r, lo, hi = ~split, row[split], a[split], b[split]
+        mid, m = 0.5 * (lo + hi), row.size - r.size
+        row, a, b = (np.concatenate(p) for p in ((row[keep], r, r), (a[keep], lo, mid),
+                                                 (b[keep], mid, hi)))
+        v, e = rule(row[m:], a[m:], b[m:])
+        val, err = np.concatenate((val[keep], v)), np.concatenate((err[keep], e))
 
 
 def hazard_integral(model: PdmpModel, x: StatePoint, t: float) -> float:
