@@ -51,6 +51,7 @@ from .core import (
     NoInvariantDensityError,
     PdmpModel,
     _csr_rows,
+    _face_times,
     gauss3,
     hazard_crossing,
     orbit_hazard,
@@ -70,26 +71,11 @@ _MAX_EXP_STEP = 0.25    # max exponent variation per quadrature sub-interval
 
 _BATCH_NODES = 1 << 17   # quadrature nodes per batch of rows, at two sub-intervals per segment
 
-_FACE_TOL = 1e-9         # a face time must put the orbit on its face to this many cell widths
-
 _ARPACK_K, _ARPACK_NCV = 2, 20  # eigenvalues sought (+1 and -1 for a period-two chain), basis size
 
 _CACHE_PER_MODEL = 8     # discounts whose R0 matrices are kept, least recently used out
 
 _CACHE: "weakref.WeakKeyDictionary[PdmpModel, OrderedDict]" = weakref.WeakKeyDictionary()
-
-
-def _face_times(model: PdmpModel, X: np.ndarray, mode: int, axis: int, a: np.ndarray,
-                width: float) -> np.ndarray:
-    """The model's backward times from the rows of X to coordinate ``axis`` = a,
-    checked to put the orbit on that face."""
-    t = np.asarray(model.backward_orbit(X, mode, axis, a), dtype=float)
-    hit = (t > 0) & np.isfinite(t)
-    miss = np.max(np.abs(model.flow.phi(-t[hit], X[hit], mode)[:, axis] - a[hit]), initial=0.0)
-    if miss > _FACE_TOL * width:
-        raise ModelError(f"backward_orbit of {model.name!r} (mode {mode}, axis {axis}) gives "
-                         f"face times whose orbits miss their face by up to {miss:.3e}")
-    return t
 
 
 def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans, lam: float):
@@ -100,11 +86,11 @@ def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans
     crosses and how many it crosses."""
     n = X.shape[0]
     rows, times = [np.arange(n), np.arange(n)], [np.zeros(n), end]
-    for k, ax, first, count in spans:
+    for k, first, count in spans:
         r = np.repeat(np.arange(n), count)
         j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(r.size)
-        t = _face_times(model, X[r], mode, k, ax.faces[j], ax.dx)
-        inside = (t > 0) & (t < end[r])
+        t = _face_times(model, X[r], mode, k, j)
+        inside = t < end[r]
         rows.append(r[inside])
         times.append(t[inside])
     rows, times = np.concatenate(rows), np.concatenate(times)
@@ -147,8 +133,8 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.i
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
     end = np.minimum(hit, horizon)
     for k, ax in axes:
-        t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([ax.lo, ax.hi], n), ax.dx)
-        end = np.minimum(end, np.where(t > 0, t, np.inf).reshape(2, n).min(axis=0))
+        t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([0, ax.n], n))
+        end = np.minimum(end, t.reshape(2, n).min(axis=0))
     # cut where the discount exponent reaches the cutoff; inf when it stays below it forever
     end = hazard_crossing(model, X, mode, EXPONENT_CUTOFF, lam, horizon=end, backward=True)
     if np.isinf(end).any():
@@ -163,11 +149,11 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.i
         lo, hi = np.minimum(X[:, k], Z[:, k]), np.maximum(X[:, k], Z[:, k])
         first = np.maximum(np.searchsorted(ax.faces, lo, side="right"), 1)
         count = np.maximum(np.minimum(np.searchsorted(ax.faces, hi, side="left"), ax.n) - first, 0)
-        spans.append((k, ax, first, count))
+        spans.append((k, first, count))
         crossings += count
     batch = np.cumsum(6 * (crossings + 1)) // _BATCH_NODES
     parts = [
-        _segments(model, mode, X[b], end[b], [(k, ax, f[b], c[b]) for k, ax, f, c in spans], lam)
+        _segments(model, mode, X[b], end[b], [(k, f[b], c[b]) for k, f, c in spans], lam)
         for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1)
     ]
     counts, cells, weights = (np.concatenate([p[i] for p in parts]) for i in range(3))
@@ -199,12 +185,12 @@ def _first_face(model: PdmpModel, mode: int, k: int, X: np.ndarray):
     ax = block.axes[k]
     j = np.clip(np.concatenate([np.searchsorted(ax.faces, X[:, k], "left") - 1,
                                 np.searchsorted(ax.faces, X[:, k], "right")]), 0, ax.n)
-    t = _face_times(model, np.vstack([X, X]), mode, k, ax.faces[j], ax.dx).reshape(2, n)
-    near = np.argmin(np.where(t > 0, t, np.inf), axis=0)
+    t = _face_times(model, np.vstack([X, X]), mode, k, j).reshape(2, n)
+    near = np.argmin(t, axis=0)
     tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
     idx = [j - 1 if d == k else a.nearest(X[:, d])[0] for d, a in enumerate(block.axes)]
     col = np.ravel_multi_index(idx, [a.n - (d == k) for d, a in enumerate(block.axes)], mode="clip")
-    inner = (tau > 0) & np.isfinite(tau) & (j > 0) & (j < ax.n)
+    inner = np.isfinite(tau) & (j > 0) & (j < ax.n)
     return np.where(inner, tau, np.inf), np.where(inner, col, -1)
 
 
@@ -318,8 +304,9 @@ def invariant_of_K(
     The first application of K to ``init`` raises NoInvariantDensityError
     when it loses the mass, and returns ``init`` if its one-step residual is
     below tol.  Otherwise ARPACK (``eigs`` from ``init``, relative accuracy
-    tol) gives the eigenvector of the largest real positive eigenvalue (-1 is
-    on the unit circle too when the chain alternates between interior and
+    tol; below four unknowns, too few for ARPACK, a dense eigensolve of K)
+    gives the eigenvector of the largest real positive eigenvalue (-1 is on
+    the unit circle too when the chain alternates between interior and
     boundary states), turned to positive mass, cleared of roundoff negatives
     and normalized.  ARPACK's restarts are capped at about max_iters
     applications of K (at least one restart: about 2 ncv applications).
@@ -336,13 +323,17 @@ def invariant_of_K(
         raise NoInvariantDensityError(f"jump-chain iterates of {model.name!r} lost their mass (|K "
                                       f"pair| = {mass:.3e}); the chain has no invariant density")
     if float(np.abs(kx / mass - x) @ op.weights) >= tol:
-        ncv = min(_ARPACK_NCV, op.shape[0])
-        try:
-            vals, vecs = eigs(op, _ARPACK_K, ncv=ncv, v0=x, tol=tol,
-                              maxiter=max((max_iters - ncv) // (ncv - _ARPACK_K), 1))
-        except ArpackNoConvergence:
-            raise ConvergenceError(f"ARPACK found no invariant pair of {model.name!r} within "
-                                   f"about {max_iters} applications of K") from None
+        n = op.shape[0]
+        if n < _ARPACK_K + 2:  # too few unknowns for ARPACK: all eigenpairs of the dense K
+            vals, vecs = np.linalg.eig(op @ np.eye(n))
+        else:
+            ncv = min(_ARPACK_NCV, n)
+            try:
+                vals, vecs = eigs(op, _ARPACK_K, ncv=ncv, v0=x, tol=tol,
+                                  maxiter=max((max_iters - ncv) // (ncv - _ARPACK_K), 1))
+            except ArpackNoConvergence:
+                raise ConvergenceError(f"ARPACK found no invariant pair of {model.name!r} within "
+                                       f"about {max_iters} applications of K") from None
         real = np.where((np.abs(vals.imag) <= tol * np.abs(vals)) & (vals.real > 0), vals.real, 0)
         if not real.any():
             raise ConvergenceError(f"K of {model.name!r} has no real positive eigenvalue in {vals}")

@@ -65,6 +65,7 @@ _LK_WEIGHTS = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
 _LK_ERROR = _LK_WEIGHTS - np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
 _HAZARD_RTOL, _HAZARD_ATOL = 1e-10, 1e-12
 _HAZARD_INTERVALS = 200  # per row, before ConvergenceError
+_FACE_TOL = 1e-9  # a face time must put the orbit on its face to this many cell widths
 
 
 class PdmpError(Exception):
@@ -362,9 +363,6 @@ class BoundaryGrid:
 # densities
 
 
-_MASS_TOL = 1e-12
-
-
 class GridDensity:
     """A nonnegative piecewise-constant function on the interior grid."""
 
@@ -435,11 +433,12 @@ def l1_distance(f: GridDensity, g: GridDensity) -> float:
 class FlowMap:
     """The deterministic flow with its cocycle and boundary hitting times.
 
-    All callables take the points of one mode as an ``(n, dim)`` array ``X``
-    and return one value per row: ``phi(t, X, mode) -> (n, dim)``,
-    ``jac(t, X, mode) -> (n,)`` with ``t`` a scalar or ``(n,)`` array of
-    signed times, and ``hit_plus(X, mode)``/``hit_minus(X, mode) -> (n,)``,
-    the forward/backward time to the outgoing/incoming boundary (``inf``
+    The model contract, which every callable of a model relies on: ``X`` is
+    an ``(n, dim)`` float ndarray of points of one mode, which the callable
+    must not modify, and it returns one value per row.  ``phi(t, X, mode) ->
+    (n, dim)`` and ``jac(t, X, mode) -> (n,)`` take ``t``, signed times, as
+    a float or an ``(n,)`` array; ``hit_plus(X, mode)``/``hit_minus(X, mode)``
+    give the forward/backward time to the outgoing/incoming boundary (``inf``
     when that boundary is never hit, 0 on the respective boundary).
     """
 
@@ -454,16 +453,17 @@ class JumpLaw:
     """The jump distribution, both as a sampler and as density operators.
 
     ``p0``/``p_partial`` act on a pair (interior density, outflow-boundary
-    density) and return the interior / inflow-boundary part of the post-jump
-    density.  Both are linear and positivity preserving; for a conservative
-    kernel they jointly preserve mass.  :meth:`PdmpModel.post_jump` applies
-    the pair.
+    density), given as 1-d float arrays ``h_int`` (one value per interior
+    cell) and ``h_plus`` (one per outgoing-boundary cell), and return the
+    interior / inflow-boundary part of the post-jump density.  Both are
+    linear and positivity preserving; for a conservative kernel they jointly
+    preserve mass.  :meth:`PdmpModel.post_jump` applies the pair.
 
     ``sample(X, mode, rng) -> (X', modes')`` draws one post-jump state for
-    each row of the ``(n, dim)`` pre-jump array ``X`` (all rows in ``mode``;
-    a row on the outgoing boundary takes a boundary jump): ``X'`` is
-    ``(n, dim)`` and ``modes'`` an ``(n,)`` integer array.  A sampler that
-    takes no jump from some row raises :class:`ModelError`.
+    each row of the pre-jump points ``X`` (as in :class:`FlowMap`; all rows
+    in ``mode``; a row on the outgoing boundary takes a boundary jump):
+    ``X'`` is ``(n, dim)`` and ``modes'`` an ``(n,)`` integer array.  A
+    sampler that takes no jump from some row raises :class:`ModelError`.
     """
 
     sample: Callable[[np.ndarray, int, np.random.Generator], tuple]
@@ -478,18 +478,19 @@ class PdmpModel:
     ``eq=False`` keeps identity hashing so models can key caches of
     precomputed quadrature matrices.
 
-    The per-point callables follow the array contract of :class:`FlowMap`:
-    ``rate(X, mode)``, ``inverse_hazard(X, mode, xi)`` (``xi`` an ``(n,)``
-    array) and ``in_state_space(X, mode)`` each return one value per row of
-    ``X``.  The Monte Carlo engine needs every mode to share one dimension.
+    Its per-point callables follow the contract of :class:`FlowMap`, and the
+    ``t``, ``xi`` and ``a`` of ``cumulative_hazard``, ``inverse_hazard`` and
+    ``backward_orbit`` are always ``(n,)`` float arrays.  The Monte Carlo
+    engine needs every mode to share one dimension.
 
     Construction derives the boundary geometry from the grid and the flow:
     ``entry_cells`` (the cell of each Gamma- point, where its influx enters),
     ``trace_step_plus``/``trace_step_minus`` (twice the time between each
     Gamma+/Gamma- point and the center of its cell) and ``min_crossing_time``
     (the shortest backward face-to-face time through a cell, by
-    ``backward_orbit``; inf without it).  A boundary point off the grid, or
-    a trace step that is not positive and finite, raises :class:`ModelError`.
+    ``backward_orbit``; inf without it).  A boundary point off the grid, a
+    trace step that is not positive and finite, or a face time whose orbit
+    misses its face raises :class:`ModelError`.
     """
 
     name: str
@@ -500,8 +501,8 @@ class PdmpModel:
     rate: Callable[[np.ndarray, int], np.ndarray]
     jump: JumpLaw
     # optional closed-form cumulative hazard along the forward orbit:
-    # (X, mode, t) -> integral of the rate along [0, t]; vectorized like phi.
-    # Without it :func:`orbit_hazard` integrates the rate numerically.
+    # (X, mode, t) -> (n,) integral of the rate along [0, t[i]].  Without it
+    # :func:`orbit_hazard` integrates the rate numerically.
     cumulative_hazard: Optional[Callable[[np.ndarray, int, np.ndarray | float], np.ndarray]] = None
     # optional closed-form inverse of the cumulative hazard:
     # (X, mode, xi) -> (n,) smallest t with hazard(t) = xi, inf when the
@@ -543,8 +544,7 @@ class PdmpModel:
                     j = np.unravel_index(np.arange(b.n_cells), b.shape)[k]
                     X = np.vstack([b.centers, b.centers])
                     X[:, k] = ax.faces[np.r_[j + 1, j]]
-                    t = self.backward_orbit(X, b.mode, k, ax.faces[np.r_[j, j + 1]])
-                    crossing.append(np.min(t[(t > 0) & np.isfinite(t)], initial=math.inf))
+                    crossing.append(_face_times(self, X, b.mode, k, np.r_[j, j + 1]).min())
         object.__setattr__(self, "min_crossing_time", float(min(crossing)))
 
     def rate_values(self) -> np.ndarray:
@@ -643,10 +643,10 @@ def orbit_hazard(model: PdmpModel, X: np.ndarray, mode: int, t) -> np.ndarray:
     along a backward orbit from x over [0, t], pass the start points
     ``phi(-t, x)``.
     """
-    if model.cumulative_hazard is not None:
-        return np.asarray(model.cumulative_hazard(X, mode, t), dtype=float)
     n = X.shape[0]
     ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    if model.cumulative_hazard is not None:
+        return np.asarray(model.cumulative_hazard(X, mode, ts), dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError("orbit_hazard requires finite times")
     # start intervals [0, 1], [1, 2], [2, 4], ..., ending at t
@@ -687,12 +687,27 @@ def orbit_hazard(model: PdmpModel, X: np.ndarray, mode: int, t) -> np.ndarray:
         val, err = np.concatenate((val[keep], v)), np.concatenate((err[keep], e))
 
 
+def _face_times(model: PdmpModel, X: np.ndarray, mode: int, axis: int, j: np.ndarray) -> np.ndarray:
+    """Backward time from each row of X to face j of axis ``axis``, by the model's
+    ``backward_orbit``; inf where the orbit never gets there.  A time whose orbit
+    misses its face by more than _FACE_TOL cell widths raises :class:`ModelError`."""
+    ax = model.grid.block(mode).axes[axis]
+    a = ax.faces[j]
+    t = np.asarray(model.backward_orbit(X, mode, axis, a), dtype=float)
+    hit = (t > 0) & np.isfinite(t)
+    miss = np.max(np.abs(model.flow.phi(-t[hit], X[hit], mode)[:, axis] - a[hit]), initial=0.0)
+    if miss > _FACE_TOL * ax.dx:
+        raise ModelError(f"backward_orbit of {model.name!r} (mode {mode}, axis {axis}) gives "
+                         f"face times whose orbits miss their face by up to {miss:.3e}")
+    return np.where(hit, t, math.inf)
+
+
 def hazard_integral(model: PdmpModel, x: StatePoint, t: float) -> float:
     """Integral of the jump rate along the forward orbit over [0, t]."""
     _check_point(model, x)
     if t < 0:
         raise ValueError("hazard_integral requires t >= 0")
-    return float(orbit_hazard(model, x.coords[None, :], x.mode, float(t)).ravel()[0])
+    return float(orbit_hazard(model, x.coords[None, :], x.mode, float(t))[0])
 
 
 def hazard_crossing(model: PdmpModel, X: np.ndarray, mode: int, level, lam: float = 0.0,

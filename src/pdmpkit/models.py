@@ -51,6 +51,8 @@ __all__ = [
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+_P1_TOL, _P1_MAX_ITERS = 1e-12, 5000  # division-cycle power iteration: L1 increment, sweeps
+
 
 # ---------------------------------------------------------------------------
 # M1 / M2 / M3: one-dimensional drift-and-redistribute family
@@ -83,25 +85,22 @@ def build_drift_redistribute(
     drifting = variant in ("m1", "m2")
 
     def phi(t, X, mode):
-        X = np.atleast_2d(X)
-        if not drifting:
-            return X.copy()
-        t = np.asarray(t, dtype=float)
         out = X.copy()
-        out[:, 0] = X[:, 0] + t
+        if drifting:
+            out[:, 0] = X[:, 0] + t
         return out
 
     def jac(t, X, mode):
-        return np.ones(np.atleast_2d(X).shape[0])
+        return np.ones(X.shape[0])
 
     if variant == "m1":
-        hit_plus = lambda X, mode: 1.0 - np.atleast_2d(X)[:, 0]
-        hit_minus = lambda X, mode: np.atleast_2d(X)[:, 0].copy()
+        hit_plus = lambda X, mode: 1.0 - X[:, 0]
+        hit_minus = lambda X, mode: X[:, 0].copy()
         gamma_minus = BoundaryGrid(0, np.array([[0.0]]), np.array([1.0]),
                                    axis=(0, DiscreteAxis([0.0], [1.0])))
         gamma_plus = BoundaryGrid(0, np.array([[1.0]]), np.array([1.0]))
     else:
-        inf_times = lambda X, mode: np.full(np.atleast_2d(X).shape[0], np.inf)
+        inf_times = lambda X, mode: np.full(X.shape[0], np.inf)
         hit_plus = hit_minus = inf_times
         gamma_minus = BoundaryGrid.empty(1, 0)
         gamma_plus = BoundaryGrid.empty(1, 0)
@@ -115,15 +114,12 @@ def build_drift_redistribute(
     qv = float(q) if variant == "m3" else 0.0
 
     def rate(X, mode):
-        return np.full(np.atleast_2d(X).shape[0], qv)
+        return np.full(X.shape[0], qv)
 
     def cumulative_hazard(X, mode, t):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         return qv * t
 
     def inverse_hazard(X, mode, xi):
-        xi = np.asarray(xi, dtype=float)
         return xi / qv if qv > 0 else np.full(xi.shape, np.inf)
 
     # jump law: uniform restart on (0,1); only m1 (from the boundary) and m3
@@ -142,7 +138,7 @@ def build_drift_redistribute(
     def p0(h_int, h_plus):
         if variant == "m2":
             return np.zeros(grid.n_cells)
-        mass = float(h_int @ grid.weights) + float(np.asarray(h_plus) @ wplus)
+        mass = float(h_int @ grid.weights) + float(h_plus @ wplus)
         return np.full(grid.n_cells, mass / domain_measure)
 
     def p_partial(h_int, h_plus):
@@ -235,40 +231,31 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     G, Gi, Q = p.growth_time, p.growth_time_inv, p.hazard_anti
 
     def phi(t, X, mode):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         out = np.empty_like(X)
         out[:, 0] = Gi(G(X[:, 0]) + t)
         out[:, 1] = X[:, 1] + t if mode == 1 else X[:, 1]
         return out
 
     def jac(t, X, mode):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         x1 = Gi(G(X[:, 0]) + t)
         return np.asarray(p.growth(x1) / p.growth(X[:, 0]), dtype=float)
 
     def hit_plus(X, mode):
-        X = np.atleast_2d(X)
         if mode == 0:
             return np.full(X.shape[0], np.inf)
         return p.t_phase2 - X[:, 1]
 
     def hit_minus(X, mode):
-        X = np.atleast_2d(X)
         if mode == 0:
             return np.full(X.shape[0], np.inf)
         return X[:, 1].copy()
 
     def rate(X, mode):
-        X = np.atleast_2d(X)
         if mode == 0:
             return np.asarray(p.entry_rate(X[:, 0]), dtype=float)
         return np.zeros(X.shape[0])
 
     def cumulative_hazard(X, mode, t):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         if mode != 0:
             return np.zeros(X.shape[0])
         return np.asarray(Q(Gi(G(X[:, 0]) + t)) - Q(X[:, 0]), dtype=float)
@@ -278,7 +265,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         Qi = p.hazard_anti_inv
 
         def inverse_hazard(X, mode, xi):
-            xi = np.asarray(xi, dtype=float)
             if mode != 0:
                 return np.full(xi.shape, np.inf)
             x = X[:, 0]
@@ -297,7 +283,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         # division: boundary outflux at size u becomes newborns of size u/2
         # with density factor 2; assembled through cumulative masses so the
         # overlap with newborn cells is mass-exact.
-        h_plus = np.asarray(h_plus, dtype=float)
         cum = np.concatenate(([0.0], np.cumsum(h_plus * dx)))  # at faces
 
         def cmass(u):
@@ -314,14 +299,14 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         # phase-I -> phase-II entry lands on the inflow boundary at y=0;
         # interior mode-0 density (per dx) maps cellwise to the boundary
         # density (per m^- = dx)
-        return np.asarray(h_int, dtype=float)[s0].copy()
+        return h_int[s0].copy()
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 
     def backward_orbit(X, mode, axis, a):
         # axis 1 is continuous in phase II only, where the clock runs at unit speed
         if axis == 0:
-            return np.asarray(G(X[:, 0]) - G(a), dtype=float)
+            return G(X[:, 0]) - G(a)
         return X[:, 1] - a
 
     def in_space(X, mode):
@@ -350,9 +335,7 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
 
 
 def _gauss_partial(fn, a, b):
-    """Vectorized Gauss(8) of fn over the intervals [a_i, b_i]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Vectorized Gauss(8) of fn over the intervals [a_i, b_i] (float arrays)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = mid[..., None] + half[..., None] * _GL8_NODES
@@ -385,19 +368,16 @@ class _CycleQuadrature:
         return np.clip((u / self.dx).astype(np.int64), 0, self.n - 1)
 
     def E(self, u):
-        u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.p.x_max)
         k = self._locate(uc)
         return self.E_faces[k] + self.f1[k] * _gauss_partial(self._expq, self.faces[k], uc)
 
     def C(self, u):
-        u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, self.p.x_max)
         k = self._locate(uc)
         return self.C_faces[k] + self.f1[k] * (uc - self.faces[k])
 
     def F(self, u):
-        u = np.asarray(u, dtype=float)
         out = self.C(u) - np.exp(-np.asarray(self.p.hazard_anti(u), dtype=float)) * self.E(u)
         return np.where(u <= 0, 0.0, out)
 
@@ -421,13 +401,10 @@ def p1_apply(p: CellCycleParams, f1: np.ndarray) -> np.ndarray:
     return np.maximum(mass / quad.dx, 0.0)
 
 
-def p1_invariant(
-    p: CellCycleParams,
-    tol: float = 1e-12,
-    max_iters: int = 5000,
-    init: Optional[np.ndarray] = None,
-):
-    """Invariant newborn-size density of the division cycle by power iteration.
+def p1_invariant(p: CellCycleParams):
+    """Invariant newborn-size density of the division cycle by power iteration
+    from the uniform density, until an L1 increment below 1e-12 (at most 5000
+    sweeps, else :class:`ConvergenceError`).
 
     Returns (f1, uniqueness_value): the fixed density on the size grid and
     the minimum of Q(newborn_size(x)) - Q(x) over the upper half of the grid
@@ -435,10 +412,10 @@ def p1_invariant(
     """
     ax = p.size_axis()
     dx = ax.dx
-    f = np.full(ax.n, 1.0 / p.x_max) if init is None else np.asarray(init, dtype=float)
+    f = np.full(ax.n, 1.0 / p.x_max)
     f = f / (f.sum() * dx)
     increment = math.inf
-    for _ in range(max_iters):
+    for _ in range(_P1_MAX_ITERS):
         nxt = p1_apply(p, f)
         m = nxt.sum() * dx
         if m <= 1e-12:
@@ -446,7 +423,7 @@ def p1_invariant(
         nxt = nxt / m
         increment = float(np.abs(nxt - f).sum() * dx)
         f = nxt
-        if increment < tol:
+        if increment < _P1_TOL:
             break
     else:
         raise ConvergenceError(f"division-cycle iteration stuck at increment {increment:.3e}")
@@ -492,7 +469,6 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
     H_faces = np.concatenate(([0.0], np.cumsum(_gauss_partial(fg, faces[:-1], faces[1:]))))
 
     def H(u):
-        u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, p.x_max)
         k = quad._locate(uc)
         return H_faces[k] + _gauss_partial(fg, faces[k], uc)
@@ -524,8 +500,7 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
         return out
 
     xc = p.size_axis().centers
-    f1v = np.asarray(f1, dtype=float)
-    contrib = (mean_phase1(xc) + p.t_phase2) * f1v * dx
+    contrib = (mean_phase1(xc) + p.t_phase2) * quad.f1 * dx
     total = float(contrib.sum())
     mid = max(contrib.size // 2, 1)
     integrable = bool(np.isfinite(total)) and (
@@ -584,21 +559,17 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     # gamma cell index == velocity index, by construction above
 
     def phi(t, X, mode):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         out = X.copy()
         out[:, 0] = X[:, 0] + t * X[:, 1]
         return out
 
     def jac(t, X, mode):
-        return np.ones(np.atleast_2d(X).shape[0])
+        return np.ones(X.shape[0])
 
     def hit_plus(X, mode):
-        X = np.atleast_2d(X)
         return np.where(X[:, 1] > 0, (L - X[:, 0]) / X[:, 1], X[:, 0] / -X[:, 1])
 
     def hit_minus(X, mode):
-        X = np.atleast_2d(X)
         return np.where(X[:, 1] > 0, X[:, 0] / X[:, 1], (X[:, 0] - L) / X[:, 1])
 
     def v_index(v):
@@ -615,17 +586,15 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         theta_v = np.zeros(n_v)
 
     def rate(X, mode):
-        return theta_v[v_indices(np.atleast_2d(X))]
+        return theta_v[v_indices(X)]
 
     def cumulative_hazard(X, mode, t):
-        X = np.atleast_2d(X)
-        t = np.broadcast_to(np.asarray(t, dtype=float), (X.shape[0],))
         return rate(X, mode) * t
 
     def inverse_hazard(X, mode, xi):
         th = theta_v[v_indices(X)]
         with np.errstate(divide="ignore"):
-            return np.where(th > 0, np.asarray(xi, dtype=float) / th, np.inf)
+            return np.where(th > 0, xi / th, np.inf)
 
     # wall operator as a density-level matrix Hm: (gamma-) <- (gamma+)
     if isinstance(p.boundary, str) and p.boundary == "specular":
@@ -680,13 +649,13 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     def p0(h_int, h_plus):
         if K is None:
             return np.zeros(grid.n_cells)
-        h = np.asarray(h_int, dtype=float).reshape(n_x, n_v)
+        h = h_int.reshape(n_x, n_v)
         with np.errstate(invalid="ignore", divide="ignore"):
             gdens = np.where(theta_v > 0, h / theta_v, 0.0)
         return (gdens @ (K * nu[None, :]).T).ravel()
 
     def p_partial(h_int, h_plus):
-        return Hm @ np.asarray(h_plus, dtype=float)
+        return Hm @ h_plus
 
     jump = JumpLaw(sample=sample, p0=p0, p_partial=p_partial)
 

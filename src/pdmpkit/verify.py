@@ -29,6 +29,8 @@ __all__ = [
     "resolvent_duality",
 ]
 
+_MAX_TAIL = 0.02  # the largest more-than-n_max-jump probability duhamel_oracle accepts
+
 
 def green_residual(model: PdmpModel, f: GridDensity, tmax_values: np.ndarray) -> float:
     """Defect of the boundary-flux identity: the integral of the transport
@@ -95,15 +97,14 @@ def duhamel_oracle(
     n_s: int = 48,
     seed: int = 0,
     tail_paths: int = 25_000,
-    max_tail: float = 0.02,
 ):
     """Brute-force jump-count expansion of the evolved density.
 
     Sums the 0-, 1- and (for n_max=2) 2-jump contributions by nested
     quadrature of single-shot free-transport steps (over whole numbers of
     the n_s intervals).  Refuses when the simulated probability of more
-    than n_max jumps before t exceeds
-    ``max_tail`` (the returned tail estimate bounds the truncated mass).
+    than n_max jumps before t reaches 0.02 (the returned tail estimate
+    bounds the truncated mass).
     Returns (density, tail_probability).
     """
     if n_max not in (0, 1, 2):
@@ -112,7 +113,7 @@ def duhamel_oracle(
     # jumps before t
     tail = simulate_ensemble(model, f0.normalized(), t, tail_paths, seed,
                              max_jumps=n_max + 1).censored / tail_paths
-    if tail >= max_tail:
+    if tail >= _MAX_TAIL:
         raise PdmpError(
             f"more-than-{n_max}-jump probability about {tail:.2e} at t={t}; "
             "the truncated expansion is not a valid oracle here"
@@ -188,7 +189,6 @@ def resolvent_duality(
     lam: float,
     n_paths: int,
     seed: int,
-    horizon: Optional[float] = None,
 ):
     """Two routes to the resolvent pairing <R f, psi>.
 
@@ -197,8 +197,9 @@ def resolvent_duality(
     psi along paths of the batched engine (so, as there, every mode must
     have the same dimension), stopped where a path leaves the gridded
     window, as the grid resolvent loses that mass; each round's flow
-    segments are integrated together by composite Gauss(3).  Returns (lhs,
-    mc_mean, mc_stderr).
+    segments are integrated together by composite Gauss(3), up to the
+    horizon 10 / lam (truncation bias e^-10, far below the Monte Carlo
+    noise).  Returns (lhs, mc_mean, mc_stderr).
     """
     from .semigroup import resolvent_G
 
@@ -206,8 +207,6 @@ def resolvent_duality(
     res = resolvent_G(model, f, lam)
     on_grid = np.concatenate([psi(b.centers, b.mode) for b in model.grid.blocks])
     lhs = float((res.density.values * on_grid) @ model.grid.weights)
-    if horizon is None:
-        horizon = 10.0 / lam  # truncation bias e^-10, far below the MC noise
     samples = np.zeros(n_paths)
     # the grid resolvent loses the mass that leaves the gridded window, so paths stop
     # counting there; they are still simulated, which keeps the draw order
@@ -228,6 +227,6 @@ def resolvent_duality(
         alive[rows[model.grid.locate(ends, mode) < 0]] = False
 
     # at most 10^6 jumps per path: the censoring proxy for a possible explosion
-    for _ in _run_chunks(model, f, horizon, n_paths, seed, 1_000_000, discounted):
+    for _ in _run_chunks(model, f, 10.0 / lam, n_paths, seed, 1_000_000, discounted):
         pass
     return lhs, float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n_paths))

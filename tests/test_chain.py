@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -179,9 +180,10 @@ class TestR0Builder:
         np.testing.assert_allclose(reach[x > 5.0], 5.0, rtol=0, atol=1e-9)
 
     def test_wrong_face_times_are_refused(self):
+        # the face times are checked when the model is built, before any R0 row
         m1 = build_drift_redistribute("m1", n_cells=20)
-        bad = dataclasses.replace(m1, backward_orbit=lambda X, mode, axis, a: 2.0 * (X[:, 0] - a))
         with pytest.raises(ModelError):
+            bad = dataclasses.replace(m1, backward_orbit=lambda X, m, axis, a: 2.0 * (X[:, 0] - a))
             apply_R0(bad, uniform_pair(bad), 0.0)
 
     def test_inflow_boundary_without_axis_is_refused(self):
@@ -337,6 +339,19 @@ class TestInvariant:
         model = build_cell_cycle(CellCycleParams(n_x=400, x_max=20.0, n_y=4))
         with pytest.raises(ConvergenceError):
             invariant_of_K(model, max_iters=1)
+
+    def test_chain_too_small_for_arpack(self):
+        # one phase-I cell, one phase-II cell and one inflow cell: three unknowns,
+        # too few for ARPACK; K loses mass off the short grid, its top eigenvalue is 0.805
+        model = build_cell_cycle(CellCycleParams(n_x=1, n_y=1, x_max=4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invariant_of_K(model, tol=1e-10)
+        want = power_invariant(model)
+        np.testing.assert_allclose(want.interior.values, [0.1206, 0.0], rtol=0, atol=1e-4)
+        np.testing.assert_allclose(want.boundary, [0.1294], rtol=0, atol=1e-4)
+        assert res.pair.l1(want, model) <= 1e-9
+        assert res.mass_ratio == pytest.approx(0.805, abs=1e-3)
 
     def test_no_invariant_without_jumps(self):
         m2 = build_drift_redistribute("m2", n_cells=50)

@@ -21,6 +21,7 @@ from pdmpkit import (
 )
 from pdmpkit.core import JumpLaw, orbit_hazard
 from pdmpkit.semigroup import inject
+from pdmpkit.simulate import simulate_ensemble
 
 from test_core import exponential_growth_model
 
@@ -154,6 +155,17 @@ class TestEvolve:
             evolve(m1, f, 1.0, 0.0)
         with pytest.raises(ValueError):
             evolve(m1, f, 1.0, 2.0)
+
+    @pytest.mark.xfail(strict=True, reason="evolve books the mass that crosses the outer face "
+                       "x = x_max as outflux on Gamma+, and the jump law re-injects it")
+    def test_mass_that_leaves_the_grid_is_lost(self):
+        # about 4.8% of the cell-cycle paths from the uniform density on (0, 8) grow
+        # past x = 8 by t = 0.5; the evolved density must lose that mass too
+        model = build_cell_cycle(CellCycleParams(n_x=20, n_y=4, x_max=8.0))
+        u = GridDensity.uniform(model.grid)
+        left = simulate_ensemble(model, u, 0.5, 20_000, seed=3).left_grid / 20_000
+        lost = 1.0 - evolve(model, u, 0.5, 0.05).total_mass
+        assert lost == pytest.approx(left, abs=0.01)
 
 
 _SLAB4 = dict(velocities=(-1.0, -0.5, 0.5, 1.0), nu_weights=(1.0,) * 4, kernel=np.ones((4, 4)))
