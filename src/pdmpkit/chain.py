@@ -18,15 +18,24 @@ enough that the discount factor varies slowly, the boundary hit contributes
 a point factor spread over the inflow boundary's axis stencil, and an orbit
 is cut where its discount exponent reaches EXPONENT_CUTOFF.
 
-A block with one continuous axis (m1-m3, the slab, cell-cycle phase I) is
-swept face to face, as in the upwind sweep of discrete-ordinates transport
-codes: the exponent is additive along an orbit and J a cocycle, so the row at
-x is its own row up to the first face z its orbit crosses plus
-e^{-lam t - H(t)} J_{-t}(x) times the row at z.  Its rows stop at their first
-face and one sparse LU solve over the face points carries them on: O(n)
-stored entries where whole rows hold O(n^2).  The cutoff then only ends
-orbits that reach no face (static orbits); a drifting orbit keeps its tail.
-Blocks with more continuous axes (cell-cycle phase II) keep whole rows.
+A block with a continuous axis of more than one cell is swept face to face
+along its continuous axis with the fewest cells (the one axis of m1-m3, the
+slab and cell-cycle phase I; the clock axis y of phase II), as in the upwind
+sweep of discrete-ordinates transport codes: the exponent is additive along
+an orbit and J a cocycle, so the row at x is its own row up to the first face
+z its orbit crosses plus e^{-lam t - H(t)} J_{-t}(x) times R0 at z.  The face
+points are that axis's interior faces crossed with the other axes' centers
+and values; R0 at z is picked up from them multilinearly along the other
+continuous axes (exact on discrete ones), the short-characteristics method
+of radiative transfer (Kunasz & Auer, JQSRT 39, 1988).  Rows stop at their
+first face and one sparse LU solve over the face points carries them on, so
+a row holds the cells between two faces, not its whole orbit.  The cutoff
+then only ends orbits that reach no face (static orbits); a drifting orbit
+keeps its tail.  One-axis blocks pick up a single face point and match whole
+rows to roundoff.  Phase II interpolates along x, so it differs from
+whole rows by the interpolation error, and by O(1) in the 1-4 cells per
+y-row next to its corner characteristic, where whole rows jump between
+picking up the inflow boundary and leaving through x = 0.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ from .core import (
     ContinuousAxis,
     ConvergenceError,
     DensityPair,
+    DiscreteAxis,
     DivergentIntegralError,
     GridDensity,
+    ModeBlock,
     ModelError,
     NoInvariantDensityError,
     PdmpModel,
@@ -176,31 +187,40 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.i
     return m_int, m_wall, transfer
 
 
-def _first_face(model: PdmpModel, mode: int, k: int, X: np.ndarray):
+def _first_face(model: PdmpModel, pinned: ModeBlock, k: int, X: np.ndarray):
     """Backward time from each row of X to the first face its orbit crosses on
-    axis k (the nearer of its two neighbouring faces), and that face's index
-    among the interior face points, numbered like the cells with axis k one
-    shorter; inf and -1 where that face is an outer one or there is none."""
-    block, n = model.grid.block(mode), X.shape[0]
+    axis k (the nearer of its two neighbouring faces), and where the orbit meets
+    it among the interior face points, numbered like the cells with axis k one
+    shorter: (times, corner columns, corner weights), the corners multilinear
+    along the other continuous axes and exact along discrete ones; inf and zero
+    weights where that face is an outer one or there is none.  ``pinned`` is
+    the block of X's mode with axis k pinned to the one value 0."""
+    mode, n = pinned.mode, X.shape[0]
+    block = model.grid.block(mode)
     ax = block.axes[k]
     j = np.clip(np.concatenate([np.searchsorted(ax.faces, X[:, k], "left") - 1,
                                 np.searchsorted(ax.faces, X[:, k], "right")]), 0, ax.n)
     t = _face_times(model, np.vstack([X, X]), mode, k, j).reshape(2, n)
     near = np.argmin(t, axis=0)
     tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
-    idx = [j - 1 if d == k else a.nearest(X[:, d])[0] for d, a in enumerate(block.axes)]
-    col = np.ravel_multi_index(idx, [a.n - (d == k) for d, a in enumerate(block.axes)], mode="clip")
     inner = np.isfinite(tau) & (j > 0) & (j < ax.n)
-    return np.where(inner, tau, np.inf), np.where(inner, col, -1)
+    tau, j = np.where(inner, tau, np.inf), np.where(inner, j - 1, 0)
+    # corners where the orbit meets the face, axis k pinned, then its face index j spliced in
+    Z = model.flow.phi(-np.where(inner, tau, 0.0), X, mode)
+    Z[:, k] = 0.0
+    idx, w = pinned.corners(Z)
+    stride = math.prod(block.shape[k + 1:])
+    idx = (idx // stride * (ax.n - 1) + j[:, None]) * stride + idx % stride
+    return tau, idx, np.where(inner[:, None], w, 0.0)
 
 
 def _matrices(model: PdmpModel, lam: float):
     """R0 factors for (model, lam), none holding a reference to the model:
     (cell rows, outgoing-boundary rows, face rows, LU of I - W).  The rows at
     the cell centers and outgoing-boundary points are (interior, inflow,
-    pickup) CSR, the pickup putting each row's transfer factor on the face
-    point where its orbit stops; the face points' own rows are (interior,
-    inflow) CSR, and W holds their face-to-face transfers."""
+    pickup) CSR, the pickup spreading each row's transfer factor over the face
+    points around where its orbit stops; the face points' own rows are
+    (interior, inflow) CSR, and W holds their face-to-face transfers."""
     per_model = _CACHE.setdefault(model, OrderedDict())
     key = float(lam)
     if key in per_model:
@@ -208,26 +228,34 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-    swept, n_faces = {}, 0  # mode -> (its continuous axis, its interior face points, their offset)
+    swept, n_faces = {}, 0  # mode -> (swept axis, block with it pinned, interior face points, offset)
     for b in model.grid.blocks:
-        k = [k for k, ax in enumerate(b.axes) if isinstance(ax, ContinuousAxis)]
-        if len(k) == 1 and b.shape[k[0]] > 1:
-            mesh = np.meshgrid(*[a.faces[1:-1] if j == k[0] else a.values
+        sizes = {k: a.n for k, a in enumerate(b.axes) if isinstance(a, ContinuousAxis) and a.n > 1}
+        if sizes:
+            k = min(sizes, key=sizes.get)  # the fewest faces to sweep across
+            mesh = np.meshgrid(*[a.faces[1:-1] if j == k else a.centers
+                                 if isinstance(a, ContinuousAxis) else a.values
                                  for j, a in enumerate(b.axes)], indexing="ij")
-            swept[b.mode] = (k[0], np.stack([m.ravel() for m in mesh], axis=-1), n_faces)
-            n_faces += swept[b.mode][1].shape[0]
+            pinned = ModeBlock(b.mode, [DiscreteAxis([0.0], [1.0]) if j == k else a
+                                        for j, a in enumerate(b.axes)])
+            swept[b.mode] = (k, pinned, np.stack([m.ravel() for m in mesh], axis=-1), n_faces)
+            n_faces += swept[b.mode][2].shape[0]
 
     def rows(mode, X):
-        if mode not in swept:
-            return *_rows(model, mode, X, lam)[:2], sparse.csr_matrix((len(X), n_faces))
-        tau, col = _first_face(model, mode, swept[mode][0], X)
-        m, bnd, w = _rows(model, mode, X, lam, tau)
-        on = np.flatnonzero(w)
-        return m, bnd, sparse.csr_matrix((w[on], (on, swept[mode][2] + col[on])), (len(X), n_faces))
+        n = len(X)  # a block with nothing to sweep across keeps whole rows and an empty pickup
+        tau, idx, w = np.full(n, np.inf), np.zeros((n, 1), np.int64), np.zeros((n, 1))
+        if mode in swept:
+            k, pinned, _, offset = swept[mode]
+            tau, idx, w = _first_face(model, pinned, k, X)
+            idx += offset
+        m, bnd, transfer = _rows(model, mode, X, lam, tau)
+        pickup = _csr_rows(idx, transfer[:, None] * w, n_faces)
+        pickup.eliminate_zeros()
+        return m, bnd, pickup
 
     stack = lambda parts: [sparse.vstack(m, format="csr") for m in zip(*parts)]
     cells = stack(rows(b.mode, b.centers) for b in model.grid.blocks)
-    faces = stack(rows(mode, F) for mode, (_, F, _) in swept.items()) or [
+    faces = stack(rows(mode, F) for mode, (_, _, F, _) in swept.items()) or [
         sparse.csr_matrix((0, n)) for n in (model.grid.n_cells, model.gamma_minus.n_cells, 0)]
     lu = splu(sparse.identity(n_faces, format="csc") - faces[2].tocsc())
     per_model[key] = (cells, rows(model.gamma_plus.mode, model.gamma_plus.points), faces[:2], lu)
@@ -238,8 +266,8 @@ def _matrices(model: PdmpModel, lam: float):
 
 class ChainOperator(LinearOperator):
     """K_lam (jump law, rate, R0) on stacked (interior, inflow-boundary) vectors of
-    either sign, as Krylov solvers need and GridDensity forbids; ``weights`` give
-    their L1 norm, ``applications`` counts the applications of K."""
+    either sign, as Krylov solvers need and GridDensity forbids; ``mass`` weighs
+    them, ``applications`` counts the applications of K."""
 
     def __init__(self, model: PdmpModel, lam: float):
         if lam < 0:
@@ -248,6 +276,11 @@ class ChainOperator(LinearOperator):
         self.weights = np.concatenate([model.grid.weights, model.gamma_minus.weights])
         self.applications = 0
         super().__init__(float, (self.weights.size,) * 2)
+
+    def mass(self, x: np.ndarray) -> float:
+        """Weighted sum of a stacked vector: its mass, its L1 norm when x >= 0."""
+        # einsum, not @: a BLAS dot wakes NumPy's thread pool, which then competes with ARPACK's
+        return float(np.einsum("i,i", x, self.weights))
 
     def r0(self, x: np.ndarray):
         """R0 of a stacked vector: (interior values, outgoing-boundary trace)."""
@@ -318,11 +351,11 @@ def invariant_of_K(
     op = ChainOperator(model, 0.0)
     x = np.concatenate([init.interior.values, init.boundary]) / init.norm(model)
     kx = op @ x
-    mass = float(kx @ op.weights)
+    mass = op.mass(kx)
     if mass < 1e-8:
         raise NoInvariantDensityError(f"jump-chain iterates of {model.name!r} lost their mass (|K "
                                       f"pair| = {mass:.3e}); the chain has no invariant density")
-    if float(np.abs(kx / mass - x) @ op.weights) >= tol:
+    if op.mass(np.abs(kx / mass - x)) >= tol:
         n = op.shape[0]
         if n < _ARPACK_K + 2:  # too few unknowns for ARPACK: all eigenpairs of the dense K
             vals, vecs = np.linalg.eig(op @ np.eye(n))
@@ -338,12 +371,12 @@ def invariant_of_K(
         if not real.any():
             raise ConvergenceError(f"K of {model.name!r} has no real positive eigenvalue in {vals}")
         x = vecs[:, np.argmax(real)].real
-        x = np.maximum(x * np.sign(x @ op.weights), 0.0)
-        x /= float(x @ op.weights)
+        x = np.maximum(x * np.sign(op.mass(x)), 0.0)
+        x /= op.mass(x)
         kx = op @ x
-        mass = float(kx @ op.weights)
-    return InvariantResult(_pair(model, x), op.applications, float(np.abs(kx - x) @ op.weights),
-                           mass, float(np.abs(kx / mass - x) @ op.weights))
+        mass = op.mass(kx)
+    return InvariantResult(_pair(model, x), op.applications, op.mass(np.abs(kx - x)), mass,
+                           op.mass(np.abs(kx / mass - x)))
 
 
 def lift_invariant(model: PdmpModel, pair: DensityPair):

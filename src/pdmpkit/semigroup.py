@@ -175,6 +175,6 @@ def resolvent_G(
     p, _ = gmres(LinearOperator(K.shape, lambda x: x - K @ x, dtype=float), b, rtol=0.0,
                  atol=goal / np.linalg.norm(K.weights), restart=min(_GMRES_RESTART, max_terms),
                  maxiter=max(max_terms // _GMRES_RESTART, 1))
-    tail = float(np.abs(b - p + K @ p) @ K.weights)
+    tail = K.mass(np.abs(b - p + K @ p))
     density = GridDensity(model.grid, np.maximum(K.r0(p)[0], 0.0))  # clip the solve's roundoff
     return ResolventResult(density, K.applications, tail <= goal, tail)

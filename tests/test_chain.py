@@ -10,6 +10,7 @@ from scipy import integrate, sparse
 from pdmpkit import (
     BoundaryGrid,
     CellCycleParams,
+    ContinuousAxis,
     ConvergenceError,
     DensityPair,
     DivergentIntegralError,
@@ -212,21 +213,69 @@ SWEPT_CASES = [
 ]
 
 
+def _one_axis(model, mode):
+    return sum(isinstance(a, ContinuousAxis) for a in model.grid.block(mode).axes) <= 1
+
+
+def _cycle_phase_two(model, lam, f, fb):
+    """Swept and whole-row R0 of (f, fb) on cell-cycle phase II, its cell centers
+    then its outgoing-boundary points: (swept, whole rows, points, weights)."""
+    b = model.grid.block(1)
+    r, out = apply_R0(model, DensityPair(GridDensity(model.grid, f), fb), lam)
+    rows = [chain._rows(model, 1, X, lam)[:2] for X in (b.centers, model.gamma_plus.points)]
+    return (np.concatenate([r.values[model.grid.block_slice(1)], out]),
+            np.concatenate([m @ f + mb @ fb for m, mb in rows]),
+            np.concatenate([b.centers, model.gamma_plus.points]),
+            np.concatenate([b.weights, model.gamma_plus.weights]))
+
+
 class TestSweep:
-    """R0 on blocks with one continuous axis, swept face to face."""
+    """R0 swept face to face, against the whole rows of chain._rows."""
 
     @pytest.mark.parametrize("name, build, lam", SWEPT_CASES,
                              ids=[f"{c[0]}-{c[2]}" for c in SWEPT_CASES])
     def test_sweep_matches_whole_rows(self, name, build, lam):
+        # to roundoff on blocks with one continuous axis; the cell cycle's phase II
+        # interpolates its pickups, and the tests below bound its difference
         model = build()
         (m_int, b_int), (m_out, b_out) = dense_r0(model, lam)
+        rows = np.concatenate([np.full(b.n_cells, _one_axis(model, b.mode))
+                               for b in model.grid.blocks])
         rng = np.random.default_rng(7)
         for _ in range(3):
             f, fb = rng.random(model.grid.n_cells), rng.random(model.gamma_minus.n_cells)
             r, out = apply_R0(model, DensityPair(GridDensity(model.grid, f), fb), lam)
-            for got, want in ((r.values, m_int @ f + b_int @ fb), (out, m_out @ f + b_out @ fb)):
+            pairs = [(r.values[rows], (m_int @ f + b_int @ fb)[rows])]
+            if _one_axis(model, model.gamma_plus.mode):
+                pairs.append((out, m_out @ f + b_out @ fb))
+            for got, want in pairs:
                 scale = np.abs(want).max(initial=0.0)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_cell_cycle_phase_two_converges_to_whole_rows(self):
+        # smooth data, away from the corner characteristic x = y, where whole rows
+        # jump between picking up the inflow boundary and leaving through x = 0
+        errors = []
+        for n_x in (150, 300, 600):
+            model = build_cell_cycle(CellCycleParams(n_x=n_x, x_max=20.0, n_y=4))
+            X = np.concatenate([b.centers for b in model.grid.blocks])
+            f = np.cos(X[:, 0]) ** 2 * (1.0 + X[:, 1])
+            fb = 1.0 + np.sin(model.gamma_minus.points[:, 0]) ** 2
+            got, want, P, w = _cycle_phase_two(model, 0.0, f, fb)
+            away = P[:, 0] - P[:, 1] > 0.5
+            errors.append(np.abs(got - want)[away] @ w[away] / (np.abs(want)[away] @ w[away]))
+        assert max(errors) < 1e-3
+        assert errors[1] < errors[0] / 1.5 and errors[2] < errors[1] / 1.5
+
+    @pytest.mark.parametrize("n_x", [400, 1200])
+    def test_cell_cycle_outgoing_rows_exact_when_clock_slabs_span_whole_cells(self, n_x):
+        # dy / dx is an integer, so every pickup lands on a face point
+        model = build_cell_cycle(CellCycleParams(n_x=n_x, x_max=20.0, n_y=4))
+        rng = np.random.default_rng(7)
+        f, fb = rng.random(model.grid.n_cells), rng.random(model.gamma_minus.n_cells)
+        got, want, _, _ = _cycle_phase_two(model, 0.0, f, fb)
+        out = slice(model.grid.block(1).n_cells, None)
+        np.testing.assert_allclose(got[out], want[out], rtol=0, atol=1e-12 * np.abs(want[out]).max())
 
     def test_cache_does_not_keep_its_model_alive(self):
         gc.collect()
@@ -241,13 +290,13 @@ class TestSweep:
         assert len(chain._CACHE) == cached
 
     def test_cell_cycle_rows_stay_linear_in_the_grid(self):
-        # phase I of the 2000 x 4 cell cycle held 2.0 M nonzeros as whole rows; swept, the
-        # rows at the cell centers, the face points and the factorized transfer stay
-        # under 0.5 M, nearly all of them the whole rows of phase II
+        # on the 2000 x 4 cell cycle, whole rows held 2.0 M nonzeros in phase I and 0.6 M in
+        # phase II and its outgoing-boundary rows; swept across the clock axis, all rows,
+        # the face points and the factorized transfer stay under 0.4 M
         model = build_cell_cycle(CellCycleParams(n_x=2000, x_max=20.0, n_y=4))
-        cells, _, faces, lu = chain._matrices(model, 0.0)
-        stored = [*cells, *faces, lu.L, lu.U]
-        assert sum(m.nnz for m in stored) < 500_000
+        cells, out, faces, lu = chain._matrices(model, 0.0)
+        stored = [*cells, *out, *faces, lu.L, lu.U]
+        assert sum(m.nnz for m in stored) < 400_000
 
 
 class TestK:

@@ -1,9 +1,21 @@
-"""Property tests: invariants of the density evolution on drawn models."""
+"""Property tests: invariants of the density evolution and the jump chain on drawn models."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from pdmpkit import GridDensity, KineticSlabParams, build_kinetic_slab, evolve
+from pdmpkit import (
+    CellCycleParams,
+    DensityPair,
+    GridDensity,
+    KineticSlabParams,
+    apply_K,
+    build_cell_cycle,
+    build_kinetic_slab,
+    evolve,
+)
+
+from test_chain import dense_r0
 
 
 @st.composite
@@ -64,3 +76,29 @@ def test_free_streaming_keeps_the_uniform_density(slab, fraction, steps):
     the surviving part of each inflow cell, and the influx refills the rest."""
     _, drift = _evolve_uniform(slab, steps, fraction * slab.min_crossing_time)
     assert drift <= 1e-9
+
+
+@given(c=st.floats(0.25, 2.0), r=st.floats(0.25, 4.0), n_y=st.integers(2, 6))
+def test_swept_cell_cycle_chain_keeps_the_whole_row_mass(c, r, n_y):
+    """Phase II is swept across its clock axis and picks up face values by linear
+    interpolation in x, whose weights sum to one: with constant growth c and
+    entry rate r, K moves a pair's mass exactly as whole rows do.  The pair's
+    phase II is empty, as in every output of K, and its inflow density keeps
+    clear of x = 0 and x = x_max, where the two lose different amounts off
+    the grid."""
+    model = build_cell_cycle(CellCycleParams(
+        growth=lambda x: np.full(np.shape(x), c), entry_rate=lambda x: np.full(np.shape(x), r),
+        x_max=20.0, n_x=80, n_y=n_y, growth_time=lambda x: x / c, growth_time_inv=lambda s: c * s,
+        hazard_anti=lambda x: r * x / c, hazard_anti_inv=lambda q: c * q / r))
+    rng = np.random.default_rng(5)
+    f = np.zeros(model.grid.n_cells)
+    f[model.grid.block_slice(0)] = rng.random(model.grid.block(0).n_cells)
+    x_b = model.gamma_minus.points[:, 0]
+    fb = np.where((x_b > 5.0) & (x_b < 10.0), rng.random(x_b.size), 0.0)
+    pair = DensityPair(GridDensity(model.grid, f), fb)
+    pair = pair.scaled(1.0 / pair.norm(model))
+
+    (m_int, b_int), (m_out, b_out) = dense_r0(model, 0.0)
+    h = model.rate_values() * (m_int @ pair.interior.values + b_int @ pair.boundary)
+    whole = model.post_jump(h, m_out @ pair.interior.values + b_out @ pair.boundary)
+    assert apply_K(model, pair, 0.0).norm(model) == pytest.approx(whole.norm(model), abs=1e-10)
