@@ -9,8 +9,7 @@ discount lam gives, at a point x,
         + e^{-lam t- - H(t-)} f_b(phi_{-t-} x) J_{-t-}(x)   [if t-(x) < inf]
 
 with H the hazard integral along the backward orbit.  The same formula at a
-point of the outgoing boundary gives the trace of R0 there.  Everything is
-assembled once per (model, discount) into sparse factors.  ``_rows`` builds
+point of the outgoing boundary gives the trace of R0 there.  ``_rows`` builds
 rows a batch at a time: the model's face-time hook ``backward_orbit`` gives
 the times at which each backward orbit crosses the grid faces, each segment
 between crossings is integrated by Gauss quadrature on sub-intervals short
@@ -36,6 +35,14 @@ rows to roundoff.  Phase II interpolates along x, so it differs from
 whole rows by the interpolation error, and by O(1) in the 1-4 cells per
 y-row next to its corner characteristic, where whole rows jump between
 picking up the inflow boundary and leaving through x = 0.
+
+R0 is stored once per (model, discount) as one sparse matrix over the
+stacked columns (interior cells | inflow-boundary cells | face points) and
+one LU.  ``rows`` holds R0 at the cell centers and outgoing-boundary points,
+``face_rows`` at the face points over the pair columns, and W the face
+points' pickups of one another, so that for a stacked pair x
+
+    R0 x = rows @ (x, (I - W)^{-1} face_rows @ x).
 """
 
 from __future__ import annotations
@@ -125,27 +132,38 @@ def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans
     return np.bincount(r, minlength=n), cells[keep], gauss3(t0, t1, n_sub, integrand)
 
 
-def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.inf):
-    """R0 rows at the points X of one mode: (interior CSR, inflow-boundary CSR,
-    transfer factors).
+def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
+    """R0 rows at the points X of one mode, one CSR over the stacked columns
+    (interior cells | inflow-boundary cells | face points).
 
     Each backward orbit stops at the first of: the inflow boundary, an outer
-    face of the grid (a tie with the boundary counts as boundary), its
-    ``horizon`` (a scalar or one time per row), and the point where its
-    discount exponent lam t + H(t) reaches the cutoff; one ``hazard_crossing``
-    call decides this for all rows.  Its segments between face crossings are
-    integrated by Gauss quadrature, a batch of rows at a time.  An orbit
-    stopped by its horizon gets the transfer factor e^{-lam t - H(t)} J_{-t}
-    there; every other row gets 0."""
-    n = X.shape[0]
-    axes = [(k, ax) for k, ax in enumerate(model.grid.block(mode).axes)
-            if isinstance(ax, ContinuousAxis)]
+    face of the grid (a tie with the boundary counts as boundary), and the
+    point where its discount exponent lam t + H(t) reaches the cutoff; one
+    ``hazard_crossing`` call decides this for all rows.  Its segments between
+    face crossings are integrated by Gauss quadrature, a batch of rows at a
+    time.  With ``sweep = (k, pinned, offset, n_faces)`` the rows have n_faces
+    face columns, and an orbit also stops at the nearer of its two faces on
+    axis k (unless k is None).  If that face is an interior one, the row picks
+    up e^{-lam t - H(t)} J_{-t} at the corners of ``pinned`` (the block with
+    axis k pinned to 0) where the orbit meets it, face index spliced in, from
+    column ``offset`` on.  Without a sweep the rows are whole."""
+    n, n_cells = X.shape[0], model.grid.n_cells
+    block = model.grid.block(mode)
+    swept, pinned, offset, n_faces = sweep or (None, None, 0, 0)
     hit = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (n,))
-    end = np.minimum(hit, horizon)
+    end = hit
+    axes = [(k, ax) for k, ax in enumerate(block.axes) if isinstance(ax, ContinuousAxis)]
     for k, ax in axes:
-        t = _face_times(model, np.vstack([X, X]), mode, k, np.repeat([0, ax.n], n))
-        end = np.minimum(end, t.reshape(2, n).min(axis=0))
+        j = np.repeat([0, ax.n], n)  # the outer faces; on the swept axis the two around X
+        if k == swept:
+            j = np.clip(np.concatenate([np.searchsorted(ax.faces, X[:, k], "left") - 1,
+                                        np.searchsorted(ax.faces, X[:, k], "right")]), 0, ax.n)
+        t = _face_times(model, np.vstack([X, X]), mode, k, j).reshape(2, n)
+        near = np.argmin(t, axis=0)
+        tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
+        end = np.minimum(end, tau)
+        if k == swept:  # nan where the nearer face is an outer one
+            face, tau_face = j - 1, np.where((j > 0) & (j < ax.n), tau, np.nan)
     # cut where the discount exponent reaches the cutoff; inf when it stays below it forever
     end = hazard_crossing(model, X, mode, EXPONENT_CUTOFF, lam, horizon=end, backward=True)
     if np.isinf(end).any():
@@ -163,64 +181,44 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, horizon=math.i
         spans.append((k, first, count))
         crossings += count
     batch = np.cumsum(6 * (crossings + 1)) // _BATCH_NODES
-    parts = [
+    counts, cells, weights = map(np.concatenate, zip(*(
         _segments(model, mode, X[b], end[b], [(k, f[b], c[b]) for k, f, c in spans], lam)
-        for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1)
-    ]
-    counts, cells, weights = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    m_int = sparse.csr_matrix((weights, cells, np.concatenate(([0], np.cumsum(counts)))),
-                              shape=(n, model.grid.n_cells))
+        for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1))))
+    blocks = [sparse.csr_matrix((weights, cells, np.concatenate(([0], np.cumsum(counts)))),
+                                shape=(n, n_cells))]
 
-    # orbits that end on the inflow boundary pick up its density there; those
-    # stopped by their horizon hand on to the row at their end
+    # orbits that end on the inflow boundary pick up its density there, orbits
+    # stopped by an interior face of the swept axis R0 at the face points
     wall = hit <= end
     factor = np.exp(-(lam * end + orbit_hazard(model, Z, mode, end))) \
         * np.asarray(model.flow.jac(-end, X, mode), dtype=float)
-    transfer = np.where(~wall & (end == horizon), factor, 0.0)
-    if not wall.any():
-        return m_int, sparse.csr_matrix((n, model.gamma_minus.n_cells)), transfer
-    if model.gamma_minus.axis is None:
-        raise ModelError(f"model {model.name!r} declares no axis for its inflow boundary")
-    idx, w = model.gamma_minus.stencil(Z)
-    m_wall = _csr_rows(idx, np.where(wall, factor, 0.0)[:, None] * w, model.gamma_minus.n_cells)
-    m_wall.eliminate_zeros()
-    return m_int, m_wall, transfer
-
-
-def _first_face(model: PdmpModel, pinned: ModeBlock, k: int, X: np.ndarray):
-    """Backward time from each row of X to the first face its orbit crosses on
-    axis k (the nearer of its two neighbouring faces), and where the orbit meets
-    it among the interior face points, numbered like the cells with axis k one
-    shorter: (times, corner columns, corner weights), the corners multilinear
-    along the other continuous axes and exact along discrete ones; inf and zero
-    weights where that face is an outer one or there is none.  ``pinned`` is
-    the block of X's mode with axis k pinned to the one value 0."""
-    mode, n = pinned.mode, X.shape[0]
-    block = model.grid.block(mode)
-    ax = block.axes[k]
-    j = np.clip(np.concatenate([np.searchsorted(ax.faces, X[:, k], "left") - 1,
-                                np.searchsorted(ax.faces, X[:, k], "right")]), 0, ax.n)
-    t = _face_times(model, np.vstack([X, X]), mode, k, j).reshape(2, n)
-    near = np.argmin(t, axis=0)
-    tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
-    inner = np.isfinite(tau) & (j > 0) & (j < ax.n)
-    tau, j = np.where(inner, tau, np.inf), np.where(inner, j - 1, 0)
-    # corners where the orbit meets the face, axis k pinned, then its face index j spliced in
-    Z = model.flow.phi(-np.where(inner, tau, 0.0), X, mode)
-    Z[:, k] = 0.0
-    idx, w = pinned.corners(Z)
-    stride = math.prod(block.shape[k + 1:])
-    idx = (idx // stride * (ax.n - 1) + j[:, None]) * stride + idx % stride
-    return tau, idx, np.where(inner[:, None], w, 0.0)
+    stencil = np.zeros((n, 1), np.int64), np.zeros((n, 1))
+    if wall.any():
+        if model.gamma_minus.axis is None:
+            raise ModelError(f"model {model.name!r} declares no axis for its inflow boundary")
+        stencil = model.gamma_minus.stencil(Z)
+    corners = [(wall, model.gamma_minus.n_cells, *stencil)]
+    if swept is not None:
+        on_face = Z.copy()
+        on_face[:, swept] = 0.0
+        idx, w = pinned.corners(on_face)
+        stride = math.prod(block.shape[swept + 1:])
+        idx = (idx // stride * (block.axes[swept].n - 1) + face[:, None]) * stride + idx % stride
+        corners.append((~wall & (end == tau_face), n_faces, idx + offset, w))
+    for taken, width, idx, w in corners:
+        blocks.append(_csr_rows(idx, np.where(taken, factor, 0.0)[:, None] * w, width))
+        blocks[-1].eliminate_zeros()
+    rows = sparse.hstack(blocks, format="csr")
+    rows.resize(n, n_cells + model.gamma_minus.n_cells + n_faces)  # a sweep with no axis: empty
+    return rows
 
 
 def _matrices(model: PdmpModel, lam: float):
     """R0 factors for (model, lam), none holding a reference to the model:
-    (cell rows, outgoing-boundary rows, face rows, LU of I - W).  The rows at
-    the cell centers and outgoing-boundary points are (interior, inflow,
-    pickup) CSR, the pickup spreading each row's transfer factor over the face
-    points around where its orbit stops; the face points' own rows are
-    (interior, inflow) CSR, and W holds their face-to-face transfers."""
+    (rows, face rows, LU of I - W).  ``rows`` holds R0 at the cell centers,
+    then at the outgoing-boundary points, over the stacked columns of _rows;
+    the face rows hold R0 at the face points over the pair columns, and W is
+    their face columns."""
     per_model = _CACHE.setdefault(model, OrderedDict())
     key = float(lam)
     if key in per_model:
@@ -228,37 +226,31 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-    swept, n_faces = {}, 0  # mode -> (swept axis, block with it pinned, interior face points, offset)
+    sweeps, faces, n_faces = {}, [], 0  # mode -> (swept axis or None, block with it pinned, offset)
     for b in model.grid.blocks:
         sizes = {k: a.n for k, a in enumerate(b.axes) if isinstance(a, ContinuousAxis) and a.n > 1}
+        k = min(sizes, key=sizes.get, default=None)  # the fewest faces to sweep across
+        sweeps[b.mode] = (k, ModeBlock(b.mode, [DiscreteAxis([0.0], [1.0]) if j == k else a
+                                                for j, a in enumerate(b.axes)]), n_faces)
         if sizes:
-            k = min(sizes, key=sizes.get)  # the fewest faces to sweep across
             mesh = np.meshgrid(*[a.faces[1:-1] if j == k else a.centers
                                  if isinstance(a, ContinuousAxis) else a.values
                                  for j, a in enumerate(b.axes)], indexing="ij")
-            pinned = ModeBlock(b.mode, [DiscreteAxis([0.0], [1.0]) if j == k else a
-                                        for j, a in enumerate(b.axes)])
-            swept[b.mode] = (k, pinned, np.stack([m.ravel() for m in mesh], axis=-1), n_faces)
-            n_faces += swept[b.mode][2].shape[0]
-
-    def rows(mode, X):
-        n = len(X)  # a block with nothing to sweep across keeps whole rows and an empty pickup
-        tau, idx, w = np.full(n, np.inf), np.zeros((n, 1), np.int64), np.zeros((n, 1))
-        if mode in swept:
-            k, pinned, _, offset = swept[mode]
-            tau, idx, w = _first_face(model, pinned, k, X)
-            idx += offset
-        m, bnd, transfer = _rows(model, mode, X, lam, tau)
-        pickup = _csr_rows(idx, transfer[:, None] * w, n_faces)
-        pickup.eliminate_zeros()
-        return m, bnd, pickup
-
-    stack = lambda parts: [sparse.vstack(m, format="csr") for m in zip(*parts)]
-    cells = stack(rows(b.mode, b.centers) for b in model.grid.blocks)
-    faces = stack(rows(mode, F) for mode, (_, _, F, _) in swept.items()) or [
-        sparse.csr_matrix((0, n)) for n in (model.grid.n_cells, model.gamma_minus.n_cells, 0)]
-    lu = splu(sparse.identity(n_faces, format="csc") - faces[2].tocsc())
-    per_model[key] = (cells, rows(model.gamma_plus.mode, model.gamma_plus.points), faces[:2], lu)
+            faces.append((b.mode, np.stack([m.ravel() for m in mesh], axis=-1)))
+            n_faces += faces[-1][1].shape[0]
+    sweeps = {mode: (*s, n_faces) for mode, s in sweeps.items()}
+    n_pair = model.grid.n_cells + model.gamma_minus.n_cells
+    face_rows = sparse.vstack([*(_rows(model, mode, F, lam, sweeps[mode]) for mode, F in faces),
+                               sparse.csr_matrix((0, n_pair + n_faces))], format="csr")
+    # face points are numbered along each sweep, where I - W is block triangular: no fill
+    lu = splu(sparse.identity(n_faces, format="csc") - face_rows[:, n_pair:].tocsc(),
+              permc_spec="NATURAL")
+    face_rows = face_rows[:, :n_pair]
+    points = [*((b.mode, b.centers) for b in model.grid.blocks),
+              (model.gamma_plus.mode, model.gamma_plus.points)]
+    rows = sparse.vstack([_rows(model, mode, X, lam, sweeps[mode]) for mode, X in points],
+                         format="csr")
+    per_model[key] = (rows, face_rows, lu)
     if len(per_model) > _CACHE_PER_MODEL:
         per_model.popitem(last=False)
     return per_model[key]
@@ -284,10 +276,10 @@ class ChainOperator(LinearOperator):
 
     def r0(self, x: np.ndarray):
         """R0 of a stacked vector: (interior values, outgoing-boundary trace)."""
-        (m, b, p), (m_out, b_out, p_out), (m_face, b_face), lu = self.factors
-        f, fb = x[:m.shape[1]], x[m.shape[1]:]
-        g = lu.solve(m_face @ f + b_face @ fb)  # R0 at the face points, swept along each orbit
-        return m @ f + b @ fb + p @ g, m_out @ f + b_out @ fb + p_out @ g
+        rows, face_rows, lu = self.factors
+        # R0 at the face points, swept along each orbit, then at the cells and outgoing points
+        y = rows @ np.concatenate([x, lu.solve(face_rows @ x)])
+        return y[:self.model.grid.n_cells], y[self.model.grid.n_cells:]
 
     def _matvec(self, x):
         self.applications += 1

@@ -241,6 +241,10 @@ class ModeBlock:
                 u = (x - 0.5 * (ax.faces[0] + ax.faces[1])) / ax.dx
                 base = np.floor(u)
                 frac = u - base
+                # within 16 ulps (of the axis's ends) of a cell center is on it: one corner
+                tol = 16 * np.finfo(float).eps * (abs(ax.faces[0]) + abs(ax.faces[-1])) / ax.dx
+                on = np.abs(frac - 0.5) >= 0.5 - tol
+                frac[on] = np.rint(frac[on])
                 # ghost zeros one cell beyond each edge
                 valid &= (u >= -1.0) & (u <= n)
                 pair = base.astype(np.int64)[:, None] + np.array([0, 1])

@@ -547,15 +547,12 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     # boundary cells: outgoing at the wall each velocity runs into, incoming
     # at the opposite wall; weight |v . n| nu(v)
-    out_pts, in_pts, bw = [], [], []
-    for i, v in enumerate(vels):
-        wall_out = L if v > 0 else 0.0
-        out_pts.append([wall_out, v])
-        in_pts.append([L - wall_out, v])
-        bw.append(abs(v) * nu[i])
-    bw = np.asarray(bw)
-    gamma_plus = BoundaryGrid(0, np.asarray(out_pts), bw.copy())
-    gamma_minus = BoundaryGrid(0, np.asarray(in_pts), bw.copy(), axis=(1, DiscreteAxis(vels, nu)))
+    wall_out = np.where(vels > 0, L, 0.0)
+    wall_in = L - wall_out
+    bw = np.abs(vels) * nu
+    gamma_plus = BoundaryGrid(0, np.column_stack([wall_out, vels]), bw.copy())
+    gamma_minus = BoundaryGrid(0, np.column_stack([wall_in, vels]), bw.copy(),
+                               axis=(1, DiscreteAxis(vels, nu)))
     # gamma cell index == velocity index, by construction above
 
     def phi(t, X, mode):
@@ -571,9 +568,6 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     def hit_minus(X, mode):
         return np.where(X[:, 1] > 0, X[:, 0] / X[:, 1], (X[:, 0] - L) / X[:, 1])
-
-    def v_index(v):
-        return int(np.argmin(np.abs(vels - v)))
 
     def v_indices(X):
         return np.argmin(np.abs(X[:, 1][:, None] - vels[None, :]), axis=1)
@@ -598,21 +592,15 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     # wall operator as a density-level matrix Hm: (gamma-) <- (gamma+)
     if isinstance(p.boundary, str) and p.boundary == "specular":
+        j = v_indices(-gamma_plus.points)  # Gamma+ cell i reflects into the velocity -v_i
+        if np.any(np.abs(vels[j] + vels) > 1e-12):
+            raise ModelError("specular walls need a sign-symmetric velocity list")
         Hm = np.zeros((n_v, n_v))
-        for i, v in enumerate(vels):
-            j = v_index(-v)
-            if abs(vels[j] + v) > 1e-12:
-                raise ModelError("specular walls need a sign-symmetric velocity list")
-            Hm[j, i] = bw[i] / bw[j]
+        Hm[j, np.arange(n_v)] = bw / bw[j]
     elif isinstance(p.boundary, str) and p.boundary == "diffuse":
-        Hm = np.zeros((n_v, n_v))
-        for wall in (0.0, L):
-            src = [i for i, v in enumerate(vels) if (L if v > 0 else 0.0) == wall]
-            dst = [j for j, v in enumerate(vels) if (L - (L if v > 0 else 0.0)) == wall]
-            wtot = bw[dst].sum()
-            for i in src:
-                for j in dst:
-                    Hm[j, i] = bw[i] / wtot
+        # Gamma+ cell i re-emits into each Gamma- cell j on its wall, by the inflow measure there
+        wtot = np.array([bw[wall_in == w].sum() for w in wall_in])
+        Hm = np.where(wall_in[:, None] == wall_out[None, :], bw[None, :] / wtot[:, None], 0.0)
     else:
         Hm = np.asarray(p.boundary, dtype=float)
         if Hm.shape != (n_v, n_v):
@@ -629,7 +617,6 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     wall_cdf = cdf_rows(Hm * bw[:, None] / bw[None, :])
     coll_cdf = wall_cdf if K is None else cdf_rows(K * nu[:, None])
-    wall_out = np.where(vels > 0, L, 0.0)
 
     def sample(X, mode, rng):
         x = X[:, 0]

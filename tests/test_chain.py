@@ -51,12 +51,18 @@ def r0_blocks(model, lam):
     return A[:n, :n], A[:n, n:], A[n:, :n], A[n:, n:]
 
 
+def whole_rows(model, mode, X, lam):
+    """The whole rows of chain._rows at the points X: (interior, inflow) CSR."""
+    rows = chain._rows(model, mode, X, lam)
+    return rows[:, :model.grid.n_cells], rows[:, model.grid.n_cells:]
+
+
 def dense_r0(model, lam):
     """The whole-row R0 of chain._rows at the cell centers and the outgoing-boundary
     points: (interior rows, outgoing rows), each an (interior, inflow) CSR pair."""
-    cells = [chain._rows(model, b.mode, b.centers, lam)[:2] for b in model.grid.blocks]
+    cells = [whole_rows(model, b.mode, b.centers, lam) for b in model.grid.blocks]
     cells = tuple(sparse.vstack(m, format="csr") for m in zip(*cells))
-    return cells, chain._rows(model, model.gamma_plus.mode, model.gamma_plus.points, lam)[:2]
+    return cells, whole_rows(model, model.gamma_plus.mode, model.gamma_plus.points, lam)
 
 
 class TestR0:
@@ -165,7 +171,7 @@ class TestR0Builder:
         # only orbits from x < 0.45 reach Gamma- (with weight e^{-100 x}), and no row
         # reaches more than 0.45 behind its center
         m1 = build_drift_redistribute("m1", n_cells=200)
-        m_int, b_int, _ = chain._rows(m1, 0, m1.grid.blocks[0].centers, 100.0)
+        m_int, b_int = whole_rows(m1, 0, m1.grid.blocks[0].centers, 100.0)
         x = m1.grid.blocks[0].centers[:, 0]
         want = np.where(x < 0.45, np.exp(-100.0 * x), 0.0)
         np.testing.assert_allclose(b_int.toarray()[:, 0], want, rtol=1e-12, atol=0)
@@ -174,7 +180,7 @@ class TestR0Builder:
     def test_cutoff_stops_orbits_that_never_hit_gamma_minus(self):
         # m2 on (0, 10) at lam = 9: orbits leave through the face at 0 or stop at t = 45/9
         m2 = build_drift_redistribute("m2", n_cells=200, span=(0.0, 10.0))
-        m_int = chain._rows(m2, 0, m2.grid.blocks[0].centers, 9.0)[0]
+        m_int = whole_rows(m2, 0, m2.grid.blocks[0].centers, 9.0)[0]
         x = m2.grid.blocks[0].centers[:, 0]
         reach = _reach(m_int, x)
         assert reach.max() <= 5.0 + 1e-9
@@ -210,6 +216,8 @@ SWEPT_CASES = [
     ("diffuse slab", lambda: _slab("diffuse"), 0.5),
     *[("cell cycle", lambda: build_cell_cycle(CellCycleParams(n_x=200, x_max=20.0, n_y=4)), lam)
       for lam in (0.0, 0.5, 4.0)],
+    # one size cell: phase I has no axis to sweep and keeps whole rows next to swept phase II
+    ("cell cycle 1x4", lambda: build_cell_cycle(CellCycleParams(n_x=1, x_max=20.0, n_y=4)), 0.5),
 ]
 
 
@@ -222,7 +230,7 @@ def _cycle_phase_two(model, lam, f, fb):
     then its outgoing-boundary points: (swept, whole rows, points, weights)."""
     b = model.grid.block(1)
     r, out = apply_R0(model, DensityPair(GridDensity(model.grid, f), fb), lam)
-    rows = [chain._rows(model, 1, X, lam)[:2] for X in (b.centers, model.gamma_plus.points)]
+    rows = [whole_rows(model, 1, X, lam) for X in (b.centers, model.gamma_plus.points)]
     return (np.concatenate([r.values[model.grid.block_slice(1)], out]),
             np.concatenate([m @ f + mb @ fb for m, mb in rows]),
             np.concatenate([b.centers, model.gamma_plus.points]),
@@ -277,6 +285,14 @@ class TestSweep:
         out = slice(model.grid.block(1).n_cells, None)
         np.testing.assert_allclose(got[out], want[out], rtol=0, atol=1e-12 * np.abs(want[out]).max())
 
+    def test_exact_landings_store_no_roundoff_corner(self):
+        # dy / dx = 5, so every outgoing-boundary row of phase II picks up on a face
+        # point; roundoff in its corner fraction must not add a near-zero second corner
+        model = build_cell_cycle(CellCycleParams(n_x=400, x_max=20.0, n_y=4))
+        rows = chain._matrices(model, 0.0)[0]
+        pickups = rows[:, model.grid.n_cells + model.gamma_minus.n_cells:]
+        assert pickups.nnz and np.count_nonzero(np.abs(pickups.data) < 1e-9) == 0
+
     def test_cache_does_not_keep_its_model_alive(self):
         gc.collect()
         cached = len(chain._CACHE)
@@ -294,8 +310,8 @@ class TestSweep:
         # phase II and its outgoing-boundary rows; swept across the clock axis, all rows,
         # the face points and the factorized transfer stay under 0.4 M
         model = build_cell_cycle(CellCycleParams(n_x=2000, x_max=20.0, n_y=4))
-        cells, out, faces, lu = chain._matrices(model, 0.0)
-        stored = [*cells, *out, *faces, lu.L, lu.U]
+        rows, face_rows, lu = chain._matrices(model, 0.0)
+        stored = [rows, face_rows, lu.L, lu.U]
         assert sum(m.nnz for m in stored) < 400_000
 
 
