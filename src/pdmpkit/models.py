@@ -52,6 +52,7 @@ __all__ = [
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _P1_TOL, _P1_MAX_ITERS = 1e-12, 5000  # division-cycle power iteration: L1 increment, sweeps
+_PHASE1_BLOCK = 8  # sizes per vectorized pass of the lift's mean_phase1
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +284,7 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         # division: boundary outflux at size u becomes newborns of size u/2
         # with density factor 2; assembled through cumulative masses so the
         # overlap with newborn cells is mass-exact.
-        cum = np.concatenate(([0.0], np.cumsum(h_plus * dx)))  # at faces
-
-        def cmass(u):
-            u = np.clip(u, 0.0, p.x_max)
-            k = np.clip((u / dx).astype(np.int64), 0, n_x - 1)
-            return cum[k] + h_plus[k] * (u - faces[k])
-
+        cmass = _prefix(xaxis, h_plus * dx, lambda k, u: h_plus[k] * (u - faces[k]))
         newborn_mass = cmass(2.0 * faces[1:]) - cmass(2.0 * faces[:-1])
         out = np.zeros(grid.n_cells)
         out[s0] = newborn_mass / dx
@@ -342,44 +337,29 @@ def _gauss_partial(fn, a, b):
     return half * (fn(t) @ _GL8_WEIGHTS)
 
 
-class _CycleQuadrature:
-    """Shared prefix quadratures on the size grid for the P1/lift formulas.
+def _prefix(axis: ContinuousAxis, cells: np.ndarray, partial: Callable) -> Callable:
+    """u -> the integral over [lo, u], u clipped to the axis: the whole-cell
+    integrals ``cells`` below u's cell k, summed, plus ``partial(k, u)`` over
+    [faces[k], u]."""
+    at_faces = np.concatenate(([0.0], np.cumsum(cells)))
 
-    E(u) = int_0^u e^Q f1,  C(u) = int_0^u f1,  both exact for the
-    piecewise-constant f1;  F(u) = C(u) - e^{-Q(u)} E(u) is the cumulative
-    mass of the phase-II entry-age density, used to integrate the lifted
-    density cell-exactly.
-    """
+    def integral(u):
+        u = np.clip(u, axis.lo, axis.hi)
+        k = np.clip(((u - axis.lo) / axis.dx).astype(np.int64), 0, axis.n - 1)
+        return at_faces[k] + partial(k, u)
 
-    def __init__(self, p: CellCycleParams, f1: np.ndarray):
-        self.p = p
-        ax = p.size_axis()
-        self.faces = ax.faces
-        self.dx = ax.dx
-        self.n = ax.n
-        self.f1 = np.asarray(f1, dtype=float)
-        Q = p.hazard_anti
-        self._expq = lambda t: np.exp(np.asarray(Q(t), dtype=float))
-        cell_eq = _gauss_partial(self._expq, self.faces[:-1], self.faces[1:])
-        self.E_faces = np.concatenate(([0.0], np.cumsum(self.f1 * cell_eq)))
-        self.C_faces = np.concatenate(([0.0], np.cumsum(self.f1 * self.dx)))
+    return integral
 
-    def _locate(self, u):
-        return np.clip((u / self.dx).astype(np.int64), 0, self.n - 1)
 
-    def E(self, u):
-        uc = np.clip(u, 0.0, self.p.x_max)
-        k = self._locate(uc)
-        return self.E_faces[k] + self.f1[k] * _gauss_partial(self._expq, self.faces[k], uc)
-
-    def C(self, u):
-        uc = np.clip(u, 0.0, self.p.x_max)
-        k = self._locate(uc)
-        return self.C_faces[k] + self.f1[k] * (uc - self.faces[k])
-
-    def F(self, u):
-        out = self.C(u) - np.exp(-np.asarray(self.p.hazard_anti(u), dtype=float)) * self.E(u)
-        return np.where(u <= 0, 0.0, out)
+def _cycle_prefixes(ax: ContinuousAxis, Q: Callable, f1: np.ndarray):
+    """(E, C) on the size axis with E(u) = int_0^u e^Q f1 and C(u) =
+    int_0^u f1, both exact for the piecewise-constant f1."""
+    faces, f1 = ax.faces, np.asarray(f1, dtype=float)
+    expq = lambda t: np.exp(np.asarray(Q(t), dtype=float))
+    E = _prefix(ax, f1 * _gauss_partial(expq, faces[:-1], faces[1:]),
+                lambda k, u: f1[k] * _gauss_partial(expq, faces[k], u))
+    C = _prefix(ax, f1 * ax.dx, lambda k, u: f1[k] * (u - faces[k]))
+    return E, C
 
 
 def p1_apply(p: CellCycleParams, f1: np.ndarray) -> np.ndarray:
@@ -389,16 +369,15 @@ def p1_apply(p: CellCycleParams, f1: np.ndarray) -> np.ndarray:
     turns the pointwise formula into a telescoping difference), so the total
     mass of a compactly supported input is preserved to roundoff.
     """
-    quad = _CycleQuadrature(p, f1)
-    faces = quad.faces
-    lam_f = p.newborn_size(faces)
+    ax = p.size_axis()
+    E, C = _cycle_prefixes(ax, p.hazard_anti, f1)
+    lam_f = p.newborn_size(ax.faces)
     pos = lam_f > 0
-    T1 = np.zeros(faces.size)
-    Q = p.hazard_anti
-    T1[pos] = np.exp(-np.asarray(Q(lam_f[pos]), dtype=float)) * quad.E(lam_f[pos])
-    T2 = np.where(pos, quad.C(lam_f), 0.0)
+    T1 = np.zeros(lam_f.size)
+    T1[pos] = np.exp(-np.asarray(p.hazard_anti(lam_f[pos]), dtype=float)) * E(lam_f[pos])
+    T2 = np.where(pos, C(lam_f), 0.0)
     mass = (T1[:-1] - T1[1:]) + (T2[1:] - T2[:-1])
-    return np.maximum(mass / quad.dx, 0.0)
+    return np.maximum(mass / ax.dx, 0.0)
 
 
 def p1_invariant(p: CellCycleParams):
@@ -447,31 +426,29 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
     """
     if model is None:
         model = build_cell_cycle(p)
-    quad = _CycleQuadrature(p, f1)
-    faces, dx, n_x = quad.faces, quad.dx, p.n_x
+    ax, Q = p.size_axis(), p.hazard_anti
+    E, C = _cycle_prefixes(ax, Q, f1)
+    faces, dx = ax.faces, ax.dx
     g = lambda t: np.asarray(p.growth(t), dtype=float)
-    Q = p.hazard_anti
     values = np.zeros(model.grid.n_cells)
 
     # phase I: cell mass = int (1/g) e^{-Q} E  per cell, Gauss(8) with the
     # prefix E (smooth inside each cell)
     def phase1_integrand(t):
-        return np.exp(-np.asarray(Q(t), dtype=float)) * quad.E(t) / g(t)
+        return np.exp(-np.asarray(Q(t), dtype=float)) * E(t) / g(t)
 
     mass0 = _gauss_partial(phase1_integrand, faces[:-1], faces[1:])
     values[model.grid.block_slice(0)] = np.maximum(mass0 / dx, 0.0)
 
     # phase II: masses via the cumulative H(u) = int_0^u F/g evaluated at
-    # the backward images of the cell corners
+    # the backward images of the cell corners, where F(u) = C(u) -
+    # e^{-Q(u)} E(u) is the cumulative mass of the phase-II entry-age density
     def fg(t):
-        return quad.F(t) / g(t)
+        F = C(t) - np.exp(-np.asarray(Q(t), dtype=float)) * E(t)
+        return np.where(t <= 0, 0.0, F) / g(t)
 
-    H_faces = np.concatenate(([0.0], np.cumsum(_gauss_partial(fg, faces[:-1], faces[1:]))))
-
-    def H(u):
-        uc = np.clip(u, 0.0, p.x_max)
-        k = quad._locate(uc)
-        return H_faces[k] + _gauss_partial(fg, faces[k], uc)
+    H = _prefix(ax, _gauss_partial(fg, faces[:-1], faces[1:]),
+                lambda k, u: _gauss_partial(fg, faces[k], u))
 
     G, Gi = p.growth_time, p.growth_time_inv
     yfaces = ContinuousAxis.uniform(0.0, p.t_phase2, p.n_y).faces
@@ -489,18 +466,19 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
         hi = 2.0 * p.x_max
         out = np.zeros(z.size)
         seg = np.linspace(0.0, 1.0, 201)
-        for i, zi in enumerate(z):
-            pts = zi + (hi - zi) * seg
-            qz = float(np.asarray(Q(zi), dtype=float))
+        for s in range(0, z.size, _PHASE1_BLOCK):  # Gauss(8) on 200 pieces of [z, hi] per size
+            zb = z[s : s + _PHASE1_BLOCK, None]
+            pts = zb + (hi - zb) * seg
+            qz = np.asarray(Q(zb), dtype=float)[..., None]
 
             def integrand(t):
                 return np.exp(qz - np.asarray(Q(t), dtype=float)) / g(t)
 
-            out[i] = float(np.sum(_gauss_partial(integrand, pts[:-1], pts[1:])))
+            out[s : s + _PHASE1_BLOCK] = np.sum(
+                _gauss_partial(integrand, pts[:, :-1], pts[:, 1:]), axis=1)
         return out
 
-    xc = p.size_axis().centers
-    contrib = (mean_phase1(xc) + p.t_phase2) * quad.f1 * dx
+    contrib = (mean_phase1(ax.centers) + p.t_phase2) * f1 * dx
     total = float(contrib.sum())
     mid = max(contrib.size // 2, 1)
     integrable = bool(np.isfinite(total)) and (

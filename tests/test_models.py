@@ -140,6 +140,17 @@ class TestCellCycleLift:
         for z in (0.6, 1.0, 3.0):
             assert mean_phase1(np.array([z]))[0] == pytest.approx(1.0, rel=1e-9)
 
+    def test_mean_phase_one_with_a_size_dependent_entry_rate(self):
+        # g = 1 and entry rate x/2, so Q = x^2/4: the expected phase-I
+        # duration from size z is e^{z^2/4} int_z^inf e^{-t^2/4} dt
+        p = CellCycleParams(n_x=40, x_max=20.0, n_y=4, entry_rate=lambda x: x / 2.0,
+                            hazard_anti=lambda x: x * x / 4.0,
+                            hazard_anti_inv=lambda q: 2.0 * np.sqrt(q))
+        _, _, mean_phase1 = cell_cycle_lift(p, np.full(p.n_x, 1.0 / p.x_max))
+        z = np.array([0.0, 0.5, 1.0, 3.0, 8.0])
+        expected = [math.sqrt(math.pi) * math.exp(zi * zi / 4.0) * math.erfc(zi / 2.0) for zi in z]
+        np.testing.assert_allclose(mean_phase1(z), expected, rtol=1e-9, atol=0)
+
     def test_phases_split_evenly_in_the_toy_instance(self):
         p = CellCycleParams(n_x=400, x_max=20.0, n_y=20)
         f1, _ = p1_invariant(p)

@@ -102,3 +102,16 @@ def test_swept_cell_cycle_chain_keeps_the_whole_row_mass(c, r, n_y):
     h = model.rate_values() * (m_int @ pair.interior.values + b_int @ pair.boundary)
     whole = model.post_jump(h, m_out @ pair.interior.values + b_out @ pair.boundary)
     assert apply_K(model, pair, 0.0).norm(model) == pytest.approx(whole.norm(model), abs=1e-10)
+
+
+@given(n_x=st.integers(1, 400), x_max=st.floats(1.0, 40.0), n_y=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_cell_division_keeps_the_outflux_mass(n_x, x_max, n_y, seed):
+    """Division sends the outflux at size u to newborns of size u/2 through
+    cumulative masses, so every newborn cell gets exactly the outflux mass
+    over its doubled span and the total telescopes to the outflux's mass."""
+    model = build_cell_cycle(CellCycleParams(n_x=n_x, x_max=x_max, n_y=n_y))
+    h_plus = np.random.default_rng(seed).exponential(size=n_x)
+    newborn = model.jump.p0(np.zeros(model.grid.n_cells), h_plus)
+    assert newborn @ model.grid.weights == pytest.approx(h_plus @ model.gamma_plus.weights,
+                                                          rel=1e-12)
