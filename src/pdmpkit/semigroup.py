@@ -4,9 +4,11 @@ The free (pre-jump) semigroup is applied exactly in one semi-Lagrangian
 step: trace each cell center backward along the flow, interpolate, and
 weight by the volume cocycle and the survival factor; for a step length h
 that is one sparse matrix, and so are the boundary traces.  The evolution
-splits each step into the free step, the jump gain and boundary injection,
-and assembles its matrices once per step length.  The resolvent solves the
-perturbation theorem's chain equation (I - K) p = (f, 0) by GMRES.
+splits each step into the free step, the jump gain and boundary injection.
+Per step length it stacks the free step T and the outgoing trace S before
+and after it into one operator [T; S; S T], so a step makes one sparse
+product.  The resolvent solves the perturbation theorem's chain equation
+(I - K) p = (f, 0) by GMRES.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     redistributes the step's exact jumped mass, and the boundary flux is a
     trapezoid of the outgoing trace before and after transport, so mass is
     conserved to second order in dt on conservative models.  The linear
-    parts of a step are assembled once per step length."""
+    parts of a step are assembled once per step length, as one stacked
+    operator [T; S; S T] with S the outgoing trace: a step is one sparse
+    product.  T has no negative entry and the density stays nonnegative, so
+    T f needs no clamp and the trace after transport is (S T) f."""
     if not (0 < dt <= t):
         raise ValueError("need 0 < dt <= t")
     if dt > model.min_crossing_time * (1 + 1e-12):
@@ -122,16 +127,25 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     rem = t - n_full * dt
     if rem > 1e-12 * max(t, 1.0):
         steps.append(rem)
-    ops = {h: _free_step(model, h) for h in set(steps)}
     trace = _trace_matrix(model, -1.0)
+    m, n = trace.shape
+    ops = {}
+    for h in set(steps):
+        T, q = _free_step(model, h)
+        A = sparse.vstack([T, trace, trace @ T], format="csr")
+        A.eliminate_zeros()
+        ops[h] = A, q
     cell_w = model.grid.weights
     wplus = model.gamma_plus.weights
+    # inject's factor from the influx of each inflow-boundary cell to the density of its entry cell
+    entry, scale = model.entry_cells, model.gamma_minus.weights / cell_w[model.entry_cells]
     f = f0.values
     for h in steps:
-        T, q = ops[h]
-        transported = np.maximum(T @ f, 0.0)
+        A, q = ops[h]
+        y = A @ f
+        transported, traces = y[:n], np.maximum(y[n:], 0.0)
         u = f * q
-        flux = 0.5 * h * (np.maximum(trace @ f, 0.0) + np.maximum(trace @ transported, 0.0))
+        flux = 0.5 * h * (traces[:m] + traces[m:])
         # the traces give the flux's shape on the outgoing boundary; its
         # total is pinned to the step's exact mass budget so that nothing
         # is created or destroyed by the extrapolation error
@@ -142,7 +156,7 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
         elif shape_mass > 0.0:
             flux = flux * (exited / shape_mass)
         vals = transported + model.jump.p0(u, flux)
-        inject(model, vals, model.jump.p_partial(u, flux))
+        np.add.at(vals, entry, model.jump.p_partial(u, flux) * scale)
         f = np.maximum(vals, 0.0)
     return GridDensity(model.grid, f)
 

@@ -17,7 +17,7 @@ from .core import (
     gauss3,
     l1_distance,
 )
-from .semigroup import _free_step, evolve, inject, jump_terms, trace_minus, trace_plus, transport_step
+from .semigroup import _free_step, _trace_matrix, evolve, inject, trace_minus, trace_plus, transport_step
 from .simulate import _run_chunks, estimate_density, simulate_ensemble
 
 __all__ = [
@@ -73,20 +73,11 @@ def change_of_variables_gap(
 
 
 def _simpson_weights(n: int) -> np.ndarray:
-    if n % 2:
-        raise ValueError("need an even interval count")
+    """Composite Simpson weights over n (even) unit intervals."""
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / 3.0
-
-
-def _jump_density(model: PdmpModel, g: np.ndarray) -> np.ndarray:
-    """Post-jump density of the jump intensity of g, influx folded onto the entry cells."""
-    gain, influx = jump_terms(model, GridDensity(model.grid, g))
-    vals = gain.values.copy()
-    inject(model, vals, influx)
-    return vals
 
 
 def duhamel_oracle(
@@ -102,13 +93,15 @@ def duhamel_oracle(
 
     Sums the 0-, 1- and (for n_max=2) 2-jump contributions by nested
     quadrature of single-shot free-transport steps (over whole numbers of
-    the n_s intervals).  Refuses when the simulated probability of more
-    than n_max jumps before t reaches 0.02 (the returned tail estimate
-    bounds the truncated mass).
+    the n_s intervals; n_s must be a positive even integer).  Refuses when
+    the simulated probability of more than n_max jumps before t reaches
+    0.02 (the returned tail estimate bounds the truncated mass).
     Returns (density, tail_probability).
     """
     if n_max not in (0, 1, 2):
         raise ValueError("n_max must be 0, 1, or 2")
+    if not (isinstance(n_s, (int, np.integer)) and n_s > 0 and n_s % 2 == 0):
+        raise ValueError(f"n_s must be a positive even integer, got {n_s!r}")
     # estimated mass of the neglected terms: paths with more than n_max
     # jumps before t
     tail = simulate_ensemble(model, f0.normalized(), t, tail_paths, seed,
@@ -127,17 +120,32 @@ def duhamel_oracle(
         # one transport matrix per m, applied as often as needed
         steps = [None] + [_free_step(model, s)[0] for s in s_nodes[1:]]
         push = lambda g, m: g if m == 0 else np.maximum(steps[m] @ g, 0.0)
-        jumped = [_jump_density(model, push(f0.values, k)) for k in range(n_s + 1)]
-        for k in range(n_s + 1):
-            total += ds * sw[k] * push(jumped[k], n_s - k)
+        trace = _trace_matrix(model, -1.0)
+
+        def jump_density(g):
+            """Post-jump density of the jump intensity of g, influx folded onto the entry cells."""
+            jumped = model.post_jump(model.rate_values() * g, np.maximum(trace @ g, 0.0))
+            vals = jumped.interior.values.copy()
+            inject(model, vals, jumped.boundary)
+            return vals
+
+        # column j: the density just after a jump at s_j
+        J = np.column_stack([jump_density(push(f0.values, j)) for j in range(n_s + 1)])
+        # column k: the inner trapezoid over the first jump time j <= k of the
+        # two-jump term; lags run down so that each column sums j = 0..k upward
+        acc = np.zeros_like(J)
+        for m in range(n_s, -1, -1):
+            width = n_s + 1 - m  # the columns j that lag m carries to k = j + m <= n_s
+            # one jump: column j = n_s - m is carried to t; two jumps: all of them
+            pushed = push(J[:, :width] if n_max == 2 else J[:, width - 1:width], m)
+            total += ds * sw[width - 1] * pushed[:, -1]
+            if n_max == 2:
+                wj = np.full(width, ds if m else 0.5 * ds)  # trapezoid ends: j = 0 and j = k
+                wj[0] = 0.5 * ds
+                acc[:, m:] += pushed * wj
         if n_max == 2:
             for k in range(1, n_s + 1):
-                # inner integral over the first jump time (trapezoid)
-                acc = np.zeros(model.grid.n_cells)
-                for j in range(k + 1):
-                    wj = 0.5 if j in (0, k) else 1.0
-                    acc += ds * wj * push(jumped[j], k - j)
-                total += ds * sw[k] * push(_jump_density(model, acc), n_s - k)
+                total += ds * sw[k] * push(jump_density(acc[:, k]), n_s - k)
     return GridDensity(model.grid, np.maximum(total, 0.0)), tail
 
 

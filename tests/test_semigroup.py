@@ -20,7 +20,7 @@ from pdmpkit import (
     transport_step,
 )
 from pdmpkit.core import JumpLaw, orbit_hazard
-from pdmpkit.semigroup import inject
+from pdmpkit.semigroup import _free_step, inject
 from pdmpkit.simulate import simulate_ensemble
 
 from test_core import exponential_growth_model
@@ -223,6 +223,16 @@ class TestAssembledStep:
         got = evolve(model, f, steps * h, h).values
         want = _evolve_by_public_steps(model, f, steps * h, h).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("name", list(_STEP_CASES))
+    @pytest.mark.parametrize("steps", [1, 0.4])
+    def test_free_step_is_nonnegative(self, name, steps):
+        # evolve applies T without a clamp and takes the trace of T f as
+        # (S T) f: both rest on T >= 0 acting on nonnegative densities
+        build, h = _STEP_CASES[name]
+        T, q = _free_step(build(), steps * h)
+        assert T.data.min(initial=0.0) >= 0.0
+        assert np.all((q >= 0.0) & (q <= 1.0))
 
 
 def neumann_resolvent(model, f, lam, tol=1e-14, max_terms=10_000):

@@ -9,8 +9,12 @@ from pdmpkit import (
     build_drift_redistribute,
     build_kinetic_slab,
     evolve,
+    jump_terms,
+    transport_step,
 )
+from pdmpkit import verify
 from pdmpkit.core import ContinuousAxis, InteriorGrid, ModeBlock, PdmpError
+from pdmpkit.semigroup import inject
 from pdmpkit.verify import (
     change_of_variables_gap,
     duhamel_oracle,
@@ -50,6 +54,43 @@ class TestChangeOfVariables:
             change_of_variables_gap(m2, lambda X, mode: X[:, 0])
 
 
+def _duhamel_by_public_steps(model, f0, t, n_s):
+    """The two-jump expansion of duhamel_oracle, one vector at a time through
+    the public transport_step, jump_terms and inject: every jumped density is
+    carried by each lag separately, and the inner trapezoid of each k sums
+    j = 0..k in turn."""
+    ds, s = t / n_s, np.linspace(0.0, t, n_s + 1)
+    sw = np.ones(n_s + 1)
+    sw[1:-1:2], sw[2:-1:2] = 4.0, 2.0
+    sw = sw / 3.0
+
+    def push(g, m):
+        return g if m == 0 else transport_step(model, GridDensity(model.grid, g), s[m]).values
+
+    def jumped(g):
+        gain, influx = jump_terms(model, GridDensity(model.grid, g))
+        vals = gain.values.copy()
+        inject(model, vals, influx)
+        return vals
+
+    total = transport_step(model, f0, t).values.copy()
+    after = [jumped(push(f0.values, k)) for k in range(n_s + 1)]
+    for k in range(n_s + 1):
+        total += ds * sw[k] * push(after[k], n_s - k)
+    for k in range(1, n_s + 1):
+        acc = np.zeros(model.grid.n_cells)
+        for j in range(k + 1):
+            acc += ds * (0.5 if j in (0, k) else 1.0) * push(after[j], k - j)
+        total += ds * sw[k] * push(jumped(acc), n_s - k)
+    return np.maximum(total, 0.0)
+
+
+_DUHAMEL_CASES = {
+    "m1": (lambda: build_drift_redistribute("m1", n_cells=200), 0.3, 8),
+    "cell cycle 40x4": (lambda: build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4)), 0.3, 6),
+}
+
+
 class TestDuhamel:
     def test_short_horizon_agrees_with_solver(self, m1):
         f0 = GridDensity.uniform(m1.grid)
@@ -62,6 +103,23 @@ class TestDuhamel:
         f0 = GridDensity.uniform(m1.grid)
         with pytest.raises(PdmpError, match="truncated expansion"):
             duhamel_oracle(m1, f0, 2.0, n_max=1, seed=1, tail_paths=500)
+
+    @pytest.mark.parametrize("name", list(_DUHAMEL_CASES))
+    def test_oracle_matches_the_one_vector_expansion(self, name):
+        build, t, n_s = _DUHAMEL_CASES[name]
+        model = build()
+        f0 = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
+        oracle, _ = duhamel_oracle(model, f0, t, n_max=2, n_s=n_s, seed=2, tail_paths=400)
+        assert np.array_equal(oracle.values, _duhamel_by_public_steps(model, f0, t, n_s))
+
+    @pytest.mark.parametrize("n_s", [0, 3, -2])
+    def test_bad_interval_count_fails_before_any_path_is_drawn(self, m1, monkeypatch, n_s):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths were drawn before n_s was checked")
+
+        monkeypatch.setattr(verify, "simulate_ensemble", no_paths)
+        with pytest.raises(ValueError, match="positive even integer"):
+            duhamel_oracle(m1, GridDensity.uniform(m1.grid), 0.2, n_s=n_s)
 
 
 class TestRestriction:
