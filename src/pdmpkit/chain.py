@@ -68,7 +68,6 @@ from .core import (
     ModelError,
     NoInvariantDensityError,
     PdmpModel,
-    _csr_rows,
     _face_times,
     gauss3,
     hazard_crossing,
@@ -184,8 +183,6 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
     counts, cells, weights = map(np.concatenate, zip(*(
         _segments(model, mode, X[b], end[b], [(k, f[b], c[b]) for k, f, c in spans], lam)
         for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1))))
-    blocks = [sparse.csr_matrix((weights, cells, np.concatenate(([0], np.cumsum(counts)))),
-                                shape=(n, n_cells))]
 
     # orbits that end on the inflow boundary pick up its density there, orbits
     # stopped by an interior face of the swept axis R0 at the face points
@@ -205,12 +202,20 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
         stride = math.prod(block.shape[swept + 1:])
         idx = (idx // stride * (block.axes[swept].n - 1) + face[:, None]) * stride + idx % stride
         corners.append((~wall & (end == tau_face), n_faces, idx + offset, w))
-    for taken, width, idx, w in corners:
-        blocks.append(_csr_rows(idx, np.where(taken, factor, 0.0)[:, None] * w, width))
-        blocks[-1].eliminate_zeros()
-    rows = sparse.hstack(blocks, format="csr")
-    rows.resize(n, n_cells + model.gamma_minus.n_cells + n_faces)  # a sweep with no axis: empty
-    return rows
+    # one CSR: each row's interior entries, then its nonzero pickups, column block by block
+    starts = np.cumsum([n_cells] + [width for _, width, _, _ in corners])
+    v = np.hstack([np.where(taken, factor, 0.0)[:, None] * w for taken, _, _, w in corners])
+    cols = np.hstack([idx + start for (_, _, idx, _), start in zip(corners, starts)])
+    r, j = np.nonzero(v)
+    picks = np.bincount(r, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts + picks)))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    at = np.arange(cells.size) + np.repeat(np.cumsum(picks) - picks, counts)
+    data[at], indices[at] = weights, cells
+    at = np.arange(r.size) + np.cumsum(counts)[r]
+    data[at], indices[at] = v[r, j], cols[r, j]
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(n, n_cells + model.gamma_minus.n_cells + n_faces))
 
 
 def _matrices(model: PdmpModel, lam: float):

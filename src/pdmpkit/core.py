@@ -285,6 +285,8 @@ class InteriorGrid:
         off = 0
         parts_w = []
         for b in self.blocks:
+            if b.mode < 0:
+                raise ModelError(f"mode {b.mode} is negative; modes are numbered from 0")
             self.offsets[b.mode] = off
             off += b.n_cells
             parts_w.append(b.weights)

@@ -5,11 +5,13 @@ cumulative hazard along the flow takes to reach a unit exponential, cut off
 at the outgoing boundary, from the model's ``inverse_hazard`` or else from
 ``core.hazard_crossing``.  ``simulate_path`` follows one trajectory event by
 event.  Ensemble density estimates are histograms of final states from a
-batched engine that advances all paths of a chunk together; each chunk has
-one generator derived from (seed, chunk index), so results depend only on
-(seed, n_paths, grid) and the inputs.  The same engine reports each path's
-flow segments to path functionals such as the discounted time integral of
-``verify.resolvent_duality``.
+batched engine.  Paths come in chunks of ``_CHUNK``, each with one generator
+derived from (seed, chunk index), so results depend only on (seed, n_paths,
+grid) and the inputs.  One event loop advances up to ``_GROUP`` chunks
+together: each chunk draws from its own generator in the order it would
+alone, while every model call serves all chunks at once.  The same engine
+reports each path's flow segments to path functionals such as the
+discounted time integral of ``verify.resolvent_duality``.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 
         pre, cause_out = moved[0], "boundary-jump"
     else:
         pre, cause_out = moved, "rate-jump"
-    X, modes = _sample_jumps(model, pre.coords[None, :], pre.mode, rng)
+    X, modes = _sample_jumps(model, pre.coords[None, :], pre.mode, [(rng, 0, 1)])
     return PathEvent(t0 + sigma, cause_out, pre, StatePoint(X[0], int(modes[0])))
 
 
@@ -170,18 +172,25 @@ def sample_from_density(model: PdmpModel, density: GridDensity, rng: np.random.G
     return StatePoint(X[0, : density.grid.block(mode).dim], mode)
 
 
-def _sample_jumps(model: PdmpModel, X: np.ndarray, mode: int, rng: np.random.Generator):
-    """Post-jump states (X', modes') of the rows of X, all in ``mode``;
-    refuses post-jump states outside the state space."""
-    Xn, modes = model.jump.sample(X, mode, rng)
-    Xn = np.asarray(Xn, dtype=float)
-    modes = np.asarray(modes, dtype=np.int64)
-    if Xn.ndim != 2 or Xn.shape[0] != X.shape[0] or modes.shape != (X.shape[0],):
-        raise ModelError(
-            f"jump sampler of {model.name!r} returned shapes {Xn.shape} and {modes.shape} "
-            f"for {X.shape[0]} pre-jump states"
-        )
-    post_modes = sorted(set(modes.tolist()))
+def _sample_jumps(model: PdmpModel, X: np.ndarray, mode: int, parts):
+    """Post-jump states (X', modes') of the rows of X, all in ``mode``: for
+    each (rng, lo, hi) of ``parts``, one sampler call draws those of X[lo:hi]
+    from rng.  Refuses post-jump states outside the state space."""
+    out = []
+    for rng, lo, hi in parts:
+        Xn, modes = model.jump.sample(X[lo:hi], mode, rng)
+        out.append((np.asarray(Xn, dtype=float), np.asarray(modes, dtype=np.int64)))
+        Xn, modes = out[-1]
+        if (Xn.ndim != 2 or Xn.shape[0] != hi - lo or Xn.shape[1:] != out[0][0].shape[1:]
+                or modes.shape != (hi - lo,)):
+            raise ModelError(
+                f"jump sampler of {model.name!r} returned shapes {Xn.shape} and {modes.shape} "
+                f"for {hi - lo} pre-jump states"
+            )
+    Xn, modes = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    for m in (modes.min(), modes.max()):  # ModelError below or above every declared mode
+        model.grid.block(int(m))
+    post_modes = np.flatnonzero(np.bincount(modes)).tolist()
     for m in post_modes:
         if model.grid.block(m).dim != Xn.shape[1]:
             raise ModelError(
@@ -198,6 +207,7 @@ def _sample_jumps(model: PdmpModel, X: np.ndarray, mode: int, rng: np.random.Gen
 
 
 _CHUNK = 1000  # paths per generator; fixes the draw order for a given seed
+_GROUP = 64  # chunks that advance together at most; bounds the engine's memory
 
 
 class Ensemble(NamedTuple):
@@ -208,26 +218,39 @@ class Ensemble(NamedTuple):
     left_grid: int  # paths ending outside the gridded window
 
 
+def _chunk_parts(rows: np.ndarray, rngs):
+    """(rngs[c], lo, hi) for each chunk c whose rows are rows[lo:hi]; ``rows``
+    is ascending and chunk c holds rows c * _CHUNK up to (c + 1) * _CHUNK."""
+    cut = np.searchsorted(rows, np.arange(len(rngs) + 1) * _CHUNK).tolist()
+    return [(rng, lo, hi) for rng, lo, hi in zip(rngs, cut, cut[1:]) if hi > lo]
+
+
 def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
-               rng: np.random.Generator, max_jumps: int, segment=None) -> np.ndarray:
+               rngs, max_jumps: int, segment=None) -> np.ndarray:
     """Advance paths started at (X, modes) to time t, in place, one event
     round at a time: every live path draws its next holding time, paths
     whose next event falls past t flow to t and retire, the others flow to
-    the jump point and jump.  Once per mode per round, ``segment(rows, Xm,
-    mode, t0, t1)``, if given, receives the flow segment of each live path
-    in that mode: it starts at Xm at time t0 and ends at t1 = min(next
-    event, t).  Returns the mask of paths censored at max_jumps."""
+    the jump point and jump.  Rows come in chunks of ``_CHUNK``, chunk c
+    drawing from rngs[c]: in each round it draws the holding times of its
+    live paths, then, mode by ascending mode, the post-jump states of its
+    paths that jumped, in row order, as it would if it ran alone.  Every
+    model call runs once per mode per round over all chunks, and so does
+    ``segment(rows, Xm, mode, t0, t1)``, if given: it receives the flow
+    segment of each live path in that mode, which starts at Xm at time t0
+    and ends at t1 = min(next event, t).  Returns the mask of paths
+    censored at max_jumps."""
     n = X.shape[0]
     clock = np.zeros(n)
     jumps = np.zeros(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     live = np.arange(n)
     while live.size:
-        xi = rng.exponential(size=live.size)
+        xi = np.empty(live.size)
+        for rng, lo, hi in _chunk_parts(live, rngs):
+            xi[lo:hi] = rng.exponential(size=hi - lo)
         live_modes = modes[live]
         jumped = []
-        for m in np.unique(live_modes):
-            m = int(m)
+        for m in np.flatnonzero(np.bincount(live_modes)).tolist():
             k = np.flatnonzero(live_modes == m)
             rows = live[k]
             Xm = X[rows]
@@ -250,7 +273,7 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             X[rows] = Y
             if go.any():
                 r = rows[go]
-                X[r], modes[r] = _sample_jumps(model, Y[go], m, rng)
+                X[r], modes[r] = _sample_jumps(model, Y[go], m, _chunk_parts(r, rngs))
                 clock[r] = end[go]
                 jumps[r] += 1
                 jumped.append(r)
@@ -267,9 +290,11 @@ def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
                 max_jumps: int, segment=None):
     """Run n_paths paths from ``init`` to time t in chunks of ``_CHUNK``,
     each chunk with one generator derived from (seed, chunk index) and a
-    fixed draw order.  Yields (X, modes, censored) per chunk once its paths
-    have run; ``segment`` is passed to :func:`_run_paths` with path indices
-    counted over all chunks."""
+    fixed draw order.  Up to ``_GROUP`` chunks at a time run through one
+    :func:`_run_paths` loop, so memory stays bounded however many paths
+    there are; the grouping does not change the output.  Yields (X, modes,
+    censored) per group once its paths have run; ``segment`` is passed to
+    :func:`_run_paths` with path indices counted over all chunks."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if model.grid.n_cells == 0:
@@ -284,16 +309,20 @@ def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
                          "for all modes")
     if isinstance(init, StatePoint) and init.dim != model.grid.block(init.mode).dim:
         raise ModelError(f"initial point {init} does not match mode {init.mode} of {model.name!r}")
-    for chunk, i0 in enumerate(range(0, n_paths, _CHUNK)):
-        n = min(_CHUNK, n_paths - i0)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,)))
+    for i0 in range(0, n_paths, _GROUP * _CHUNK):
+        n = min(_GROUP * _CHUNK, n_paths - i0)
+        starts = range(0, n, _CHUNK)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
+                                                             spawn_key=((i0 + j) // _CHUNK,)))
+                for j in starts]
         if isinstance(init, StatePoint):
             X = np.tile(init.coords, (n, 1))
             modes = np.full(n, init.mode, dtype=np.int64)
         else:
-            X, modes = _sample_states(init, n, rng)
+            X, modes = map(np.concatenate, zip(*(_sample_states(init, min(_CHUNK, n - j), rng)
+                                                 for j, rng in zip(starts, rngs))))
         report = None if segment is None else (lambda rows, *flow: segment(i0 + rows, *flow))
-        yield X, modes, _run_paths(model, X, modes, t, rng, max_jumps, report)
+        yield X, modes, _run_paths(model, X, modes, t, rngs, max_jumps, report)
 
 
 def simulate_ensemble(
@@ -306,18 +335,19 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Simulate n_paths paths to time t and count where they end.
 
-    ``init`` is a GridDensity or a StatePoint.  Paths are advanced together
-    in chunks of ``_CHUNK``, each chunk with one generator derived from
-    (seed, chunk index) and a fixed draw order, so the result depends only
-    on (seed, n_paths, grid) and the inputs.  A path is censored when its
-    max_jumps-th jump falls before t, the rule of :func:`simulate_path`.
+    ``init`` is a GridDensity or a StatePoint.  Paths come in chunks of
+    ``_CHUNK``, each chunk with one generator derived from (seed, chunk
+    index) and a fixed draw order, and advance together, up to ``_GROUP``
+    chunks at a time, so the result depends only on (seed, n_paths, grid)
+    and the inputs.  A path is censored when its max_jumps-th jump falls
+    before t, the rule of :func:`simulate_path`.
     """
     counts = np.zeros(model.grid.n_cells, dtype=np.int64)
     censored = left = 0
     for X, modes, cut in _run_chunks(model, init, t, n_paths, seed, max_jumps):
         censored += int(cut.sum())
-        for m in np.unique(modes[~cut]):
-            idx = model.grid.locate(X[~cut & (modes == m)], int(m))
+        for m in np.flatnonzero(np.bincount(modes[~cut])).tolist():
+            idx = model.grid.locate(X[~cut & (modes == m)], m)
             left += int((idx < 0).sum())
             counts += np.bincount(idx[idx >= 0], minlength=counts.size)
     return Ensemble(counts, censored, left)

@@ -293,6 +293,20 @@ class TestSweep:
         pickups = rows[:, model.grid.n_cells + model.gamma_minus.n_cells:]
         assert pickups.nnz and np.count_nonzero(np.abs(pickups.data) < 1e-9) == 0
 
+    @pytest.mark.parametrize("name, build, lam", SWEPT_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in SWEPT_CASES])
+    def test_rows_store_interior_then_inflow_then_face_entries(self, name, build, lam):
+        # the stored order of each row fixes the summation order of every apply_R0;
+        # pickups that are zero (not taken, or a zero corner weight) are not stored
+        model = build()
+        rows = chain._matrices(model, lam)[0]
+        n_cells, n_pair = model.grid.n_cells, model.grid.n_cells + model.gamma_minus.n_cells
+        assert rows.shape[1] >= n_pair
+        part = np.searchsorted([n_cells, n_pair], rows.indices, side="right")
+        row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+        assert np.all(np.diff(part)[row[1:] == row[:-1]] >= 0)
+        assert np.all(rows.data[part > 0] != 0)
+
     def test_cache_does_not_keep_its_model_alive(self):
         gc.collect()
         cached = len(chain._CACHE)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from pdmpkit import (
     step,
 )
 from pdmpkit.core import ContinuousAxis, DiscreteAxis, InteriorGrid, ModeBlock
+from pdmpkit import simulate
 from pdmpkit.simulate import sample_from_density, simulate_ensemble
+from pdmpkit.verify import resolvent_duality
 
 from test_core import exponential_growth_model
 
@@ -184,6 +187,21 @@ class TestEstimateDensity:
         with pytest.raises(ModelError):
             estimate_density(bad, GridDensity.uniform(bad.grid), 2.0, 100, 3)
 
+    @pytest.mark.parametrize("mode", [-1, 7])
+    def test_sampler_returning_an_undeclared_mode_raises(self, m1, mode):
+        def stray(X, m, rng):
+            return X.copy(), np.full(X.shape[0], mode, dtype=np.int64)
+
+        bad = dataclasses.replace(m1, jump=dataclasses.replace(m1.jump, sample=stray))
+        with pytest.raises(ModelError, match=f"mode {mode} is not declared"):
+            simulate_ensemble(bad, GridDensity.uniform(bad.grid), 2.0, 100, 3)
+        with pytest.raises(ModelError, match=f"mode {mode} is not declared"):
+            simulate_path(bad, StatePoint(np.array([0.5]), 0), 2.0, np.random.default_rng(3))
+
+    def test_negative_declared_mode_is_refused(self):
+        with pytest.raises(ModelError, match="numbered from 0"):
+            InteriorGrid([ModeBlock(-1, [ContinuousAxis.uniform(0.0, 1.0, 4)])])
+
     def test_flow_leaving_the_chart_raises(self):
         m2 = build_drift_redistribute("m2", n_cells=50, span=(0.0, 5.0))
         chart = dataclasses.replace(m2, in_state_space=lambda X, m: X[:, 0] <= 3.0)
@@ -276,3 +294,77 @@ def test_batched_engine_samples_the_scalar_law(case, n_paths):
     assert table.shape[1] >= 3
     p_value = stats.chi2_contingency(table)[1]
     assert p_value > 1e-3
+
+
+def _ramp(model):
+    return GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
+
+
+def _digest(ens):
+    return hashlib.sha256(
+        ens.counts.tobytes() + np.array([ens.censored, ens.left_grid]).tobytes()).hexdigest()
+
+
+# (model, init, t, n_paths, seed, max_jumps, sha256 of the ensemble): digests taken
+# when each chunk still ran its own event loop, so they pin every generator's draws
+_SEEDED_RUNS = {
+    "m1": (lambda: build_drift_redistribute("m1", n_cells=100), _ramp, 2.0, 3500, 41, 100_000,
+           "a9ee4069cce5323a018965fcd1a90ddc331a6c12b3f6d6af3a035d19933d7d71"),
+    "m3": (lambda: build_drift_redistribute("m3", n_cells=100, q=2.0), _ramp, 1.0, 2500, 43, 3,
+           "5b498242cb2a1c6b10bf5c4f53edacb7e3ed0faaf1b2c2b448f7db4431e6515a"),
+    "cycle": (lambda: _cycle_case()[0], _ramp, 2.0, 2500, 47, 100_000,
+              "12f39d8f5dc5c88043b67197fc3ec8edafe31d4aabba3cd23ceb8e1e30b68dc8"),
+    "slab": (lambda: _slab_case()[0], _ramp, 0.3, 2500, 53, 100_000,
+             "e9210f2214e411c2c9fa55c0938a47314d192b9d55cac183d6ce6a740016ca56"),
+    "exp_growth": (lambda: exponential_growth_model(n=30), _ramp, 0.5, 1500, 59, 100_000,
+                   "e065905763d66f735fd3fcf12ded5322aece31030d99c379dd8b7a53f3804ccf"),
+    "point": (lambda: build_drift_redistribute("m1", n_cells=100),
+              lambda model: StatePoint(np.array([0.3]), 0), 2.5, 1500, 61, 100_000,
+              "94ec8e50d5880ccee8b07e373c0c336b6db5e264bf4476fcc58f2a317f27561d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_RUNS))
+def test_seeded_ensembles_keep_their_bytes(name):
+    build, init, t, n_paths, seed, max_jumps, want = _SEEDED_RUNS[name]
+    model = build()
+    assert _digest(simulate_ensemble(model, init(model), t, n_paths, seed, max_jumps)) == want
+
+
+def _duality(model):
+    f = GridDensity(model.grid, 2.0 * model.grid.blocks[0].centers[:, 0]).normalized()
+    return resolvent_duality(model, f, lambda X, mode: np.cos(2.5 * X[:, 0]), 1.0, 2500, 3)
+
+
+@pytest.mark.parametrize("group", [1, 2])
+def test_grouping_chunks_leaves_the_output_unchanged(monkeypatch, group):
+    """One chunk per loop (the schedule of one generator at a time) and two
+    groups of at most two chunks give what the default single loop gives."""
+    runs = [_SEEDED_RUNS[name][:6] for name in ("m3", "cycle", "slab", "point")]
+    m1 = build_drift_redistribute("m1", n_cells=200)
+
+    def outputs():
+        out = []
+        for build, init, t, n_paths, seed, max_jumps in runs:
+            model = build()
+            out.append(simulate_ensemble(model, init(model), t, n_paths, seed, max_jumps))
+        return out, _duality(m1)
+
+    default, default_duality = outputs()
+    monkeypatch.setattr(simulate, "_GROUP", group)
+    sizes, engine = [], simulate._run_paths
+
+    def counted(model, X, *rest):
+        sizes.append(X.shape[0])
+        return engine(model, X, *rest)
+
+    monkeypatch.setattr(simulate, "_run_paths", counted)
+    grouped, grouped_duality = outputs()
+    for a, b in zip(default, grouped):
+        assert np.array_equal(a.counts, b.counts)
+        assert (a.censored, a.left_grid) == (b.censored, b.left_grid)
+    assert np.array_equal(default_duality, grouped_duality)
+    # the 2 500 m3 paths run group by group, and no loop holds more than a group
+    per_group = group * simulate._CHUNK
+    first = [min(per_group, 2500 - i) for i in range(0, 2500, per_group)]
+    assert sizes[:len(first)] == first and max(sizes) == per_group
