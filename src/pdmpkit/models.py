@@ -124,8 +124,10 @@ def build_drift_redistribute(
         return xi / qv if qv > 0 else np.full(xi.shape, np.inf)
 
     # jump law: uniform restart on (0,1); only m1 (from the boundary) and m3
-    # (from the interior) ever jump
-    domain_measure = float(grid.weights.sum())
+    # (from the interior) ever jump.  The restart density is the jumped mass
+    # over the domain's measure, so the weights are divided by it once here.
+    domain_measure = grid.weights.sum()
+    w_int, w_plus = grid.weights / domain_measure, gamma_plus.weights / domain_measure
     n_minus = gamma_minus.n_cells
 
     def sample(X, mode, rng):
@@ -134,13 +136,10 @@ def build_drift_redistribute(
         n = X.shape[0]
         return rng.random((n, 1)), np.zeros(n, dtype=np.int64)
 
-    wplus = gamma_plus.weights
-
     def p0(h_int, h_plus):
         if variant == "m2":
             return np.zeros(grid.n_cells)
-        mass = float(h_int @ grid.weights) + float(h_plus @ wplus)
-        return np.full(grid.n_cells, mass / domain_measure)
+        return np.full(grid.n_cells, h_int @ w_int + h_plus @ w_plus)
 
     def p_partial(h_int, h_plus):
         return np.zeros(n_minus)
@@ -547,12 +546,20 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     def hit_minus(X, mode):
         return np.where(X[:, 1] > 0, X[:, 0] / X[:, 1], (X[:, 0] - L) / X[:, 1])
 
+    # the nearest velocity: search the midpoints between the sorted velocities
+    order = np.argsort(vels, kind="stable")
+    v_mid = 0.5 * (vels[order][1:] + vels[order][:-1])
+
     def v_indices(X):
-        return np.argmin(np.abs(X[:, 1][:, None] - vels[None, :]), axis=1)
+        return order[np.searchsorted(v_mid, X[:, 1])]
 
     if p.kernel is not None:
         K = np.asarray(p.kernel, dtype=float)
         theta_v = K.T @ nu  # theta[v_in] = sum_out k[out, in] nu[out]
+        # the collision law on the velocity axis: C[v_in, v_out] = nu[v_in]
+        # k[v_out, v_in] / theta[v_in], a zero row where theta[v_in] = 0
+        inv_theta = np.divide(1.0, theta_v, out=np.zeros(n_v), where=theta_v > 0)
+        collide = inv_theta[:, None] * (K * nu[None, :]).T
     else:
         K = None
         theta_v = np.zeros(n_v)
@@ -614,10 +621,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     def p0(h_int, h_plus):
         if K is None:
             return np.zeros(grid.n_cells)
-        h = h_int.reshape(n_x, n_v)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gdens = np.where(theta_v > 0, h / theta_v, 0.0)
-        return (gdens @ (K * nu[None, :]).T).ravel()
+        return (h_int.reshape(n_x, n_v) @ collide).ravel()
 
     def p_partial(h_int, h_plus):
         return Hm @ h_plus

@@ -5,10 +5,10 @@ step: trace each cell center backward along the flow, interpolate, and
 weight by the volume cocycle and the survival factor; for a step length h
 that is one sparse matrix, and so are the boundary traces.  The evolution
 splits each step into the free step, the jump gain and boundary injection.
-Per step length it stacks the free step T and the outgoing trace S before
-and after it into one operator [T; S; S T], so a step makes one sparse
-product.  The resolvent solves the perturbation theorem's chain equation
-(I - K) p = (f, 0) by GMRES.
+Per step length it stacks the free step T, the outgoing trace S before
+and after it, and the row of the mass that leaves the grid into one
+operator, so a step makes one sparse product.  The resolvent solves the
+perturbation theorem's chain equation (I - K) p = (f, 0) by GMRES.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     trapezoid of the outgoing trace before and after transport, so mass is
     conserved to second order in dt on conservative models.  The linear
     parts of a step are assembled once per step length, as one stacked
-    operator [T; S; S T] with S the outgoing trace: a step is one sparse
-    product.  T has no negative entry and the density stays nonnegative, so
-    T f needs no clamp and the trace after transport is (S T) f."""
+    operator [T; ½h S; ½h S T; w(1 - q) - Tᵀw] with S the outgoing trace and
+    w the cell weights: a step is one sparse product, which gives the moved
+    density, the trapezoid's two ends and the mass that left.  T has no
+    negative entry and the density stays nonnegative, so T f needs no clamp
+    and the trace after transport is (S T) f."""
     if not (0 < dt <= t):
         raise ValueError("need 0 < dt <= t")
     if dt > model.min_crossing_time * (1 + 1e-12):
@@ -129,13 +131,15 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
         steps.append(rem)
     trace = _trace_matrix(model, -1.0)
     m, n = trace.shape
+    cell_w = model.grid.weights
     ops = {}
     for h in set(steps):
         T, q = _free_step(model, h)
-        A = sparse.vstack([T, trace, trace @ T], format="csr")
+        # per unit density in each cell, the mass that neither stays on the grid nor jumps
+        exit_row = sparse.csr_matrix(cell_w * (1.0 - q) - T.T @ cell_w)
+        A = sparse.vstack([T, (0.5 * h) * trace, (0.5 * h) * (trace @ T), exit_row], format="csr")
         A.eliminate_zeros()
         ops[h] = A, q
-    cell_w = model.grid.weights
     wplus = model.gamma_plus.weights
     # inject's factor from the influx of each inflow-boundary cell to the density of its entry cell
     entry, scale = model.entry_cells, model.gamma_minus.weights / cell_w[model.entry_cells]
@@ -143,21 +147,21 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     for h in steps:
         A, q = ops[h]
         y = A @ f
-        transported, traces = y[:n], np.maximum(y[n:], 0.0)
+        vals, exited = y[:n], y[-1]
+        traces = np.maximum(y[n:-1], 0.0)
+        flux = traces[:m] + traces[m:]
         u = f * q
-        flux = 0.5 * h * (traces[:m] + traces[m:])
         # the traces give the flux's shape on the outgoing boundary; its
         # total is pinned to the step's exact mass budget so that nothing
         # is created or destroyed by the extrapolation error
-        exited = float(f @ cell_w) - float(transported @ cell_w) - float(u @ cell_w)
-        shape_mass = float(flux @ wplus)
+        shape_mass = flux @ wplus
         if exited <= 0.0:
-            flux = np.zeros_like(flux)
+            flux[:] = 0.0
         elif shape_mass > 0.0:
-            flux = flux * (exited / shape_mass)
-        vals = transported + model.jump.p0(u, flux)
+            flux *= exited / shape_mass
+        vals += model.jump.p0(u, flux)
         np.add.at(vals, entry, model.jump.p_partial(u, flux) * scale)
-        f = np.maximum(vals, 0.0)
+        f = np.maximum(vals, 0.0, out=vals)
     return GridDensity(model.grid, f)
 
 

@@ -244,3 +244,127 @@ class TestDerivedGeometry:
         np.testing.assert_allclose(m.trace_step_plus, dx / np.abs(vels), rtol=1e-12)
         np.testing.assert_allclose(m.trace_step_minus, dx / np.abs(vels), rtol=1e-12)
         assert m.min_crossing_time == pytest.approx(dx, rel=1e-12)
+
+
+_VELS, _NU = (-1.0, -0.5, 0.5, 1.0), (0.5, 1.5, 1.0, 2.0)
+
+
+def _conservative_wall_matrix():
+    """A random wall matrix Hm[j, i] >= 0 whose every Gamma+ cell i sends out
+    all its mass: sum_j Hm[j, i] |v_j| nu_j = |v_i| nu_i."""
+    bw = np.abs(_VELS) * np.asarray(_NU)
+    Hm = np.random.default_rng(11).random((4, 4))
+    return Hm * bw / (Hm * bw[:, None]).sum(axis=0)
+
+
+_WALLS = {"specular": "specular", "diffuse": "diffuse", "matrix": _conservative_wall_matrix()}
+_KERNELS = {
+    "none": None,
+    "uniform": np.ones((4, 4)),
+    # velocity 0.5 never collides: theta = 0 there
+    "zero_theta": np.array([[0.3, 1.0, 0.0, 2.0],
+                            [1.2, 0.0, 0.0, 0.5],
+                            [0.0, 0.7, 0.0, 1.0],
+                            [0.4, 2.0, 0.0, 0.1]]),
+}
+
+
+def _jump_law_models():
+    yield "m1", build_drift_redistribute("m1", n_cells=30)
+    yield "m3", build_drift_redistribute("m3", n_cells=20, q=1.5)
+    for wall, boundary in _WALLS.items():
+        for kern, kernel in _KERNELS.items():
+            yield f"slab-{wall}-{kern}", build_kinetic_slab(KineticSlabParams(
+                n_x=7, velocities=_VELS, nu_weights=_NU, boundary=boundary, kernel=kernel))
+
+
+def _slab_p0(p, h_int):
+    """The collision gain, element by element: a jumped density h at velocity
+    b lands at velocity a with density k[a, b] nu[b] h / theta[b], where
+    theta[b] = sum_a k[a, b] nu[a]; velocities with theta = 0 send nothing."""
+    vels, nu = np.asarray(p.velocities), np.asarray(p.nu_weights)
+    h = h_int.reshape(p.n_x, vels.size)
+    out = np.zeros_like(h)
+    if p.kernel is None:
+        return out.ravel()
+    k = np.asarray(p.kernel)
+    for b in range(vels.size):
+        theta = sum(k[a, b] * nu[a] for a in range(vels.size))
+        if theta > 0:
+            for a in range(vels.size):
+                out[:, a] += k[a, b] * nu[b] * h[:, b] / theta
+    return out.ravel()
+
+
+def _slab_p_partial(p, h_plus):
+    """The wall law, element by element.  Specular: the outflux density of
+    velocity v re-enters at -v, its mass |v| nu(v) h kept.  Diffuse: a wall's
+    outflux mass re-enters as one density over every velocity that leaves the
+    wall, per the inflow measure |v| nu(v).  A matrix: its product."""
+    vels, nu = np.asarray(p.velocities), np.asarray(p.nu_weights)
+    bw = np.abs(vels) * nu
+    out = np.zeros(vels.size)
+    if isinstance(p.boundary, np.ndarray):
+        return p.boundary @ h_plus
+    for i, v in enumerate(vels):
+        if p.boundary == "specular":
+            j = int(np.flatnonzero(vels == -v)[0])
+            out[j] += h_plus[i] * bw[i] / bw[j]
+        else:
+            wall = p.length if v > 0 else 0.0  # outflow of v at this wall
+            enters = [j for j, u in enumerate(vels) if (u > 0) == (wall == 0.0)]
+            for j in enters:
+                out[j] += h_plus[i] * bw[i] / sum(bw[enters])
+    return out
+
+
+def _defining_p0(model, h_int, h_plus):
+    if model.name == "kinetic_slab":
+        return _slab_p0(model.params["slab"], h_int)
+    # uniform restart on (0, 1): all jumped mass, spread over the unit interval
+    mass = sum(h_int * model.grid.weights) + sum(h_plus * model.gamma_plus.weights)
+    return np.full(model.grid.n_cells, mass)
+
+
+def _defining_p_partial(model, h_int, h_plus):
+    if model.name == "kinetic_slab":
+        return _slab_p_partial(model.params["slab"], h_plus)
+    return np.zeros(model.gamma_minus.n_cells)
+
+
+class TestJumpLawFormulas:
+    """p0 and p_partial of the built-in laws against their defining formulas,
+    on random nonnegative inputs."""
+
+    @pytest.fixture(params=list(_jump_law_models()), ids=lambda case: case[0])
+    def model(self, request):
+        return request.param[1]
+
+    @staticmethod
+    def _inputs(model, seed):
+        rng = np.random.default_rng(seed)
+        return rng.random(model.grid.n_cells), rng.random(model.gamma_plus.n_cells)
+
+    def test_matches_the_defining_formulas(self, model):
+        h_int, h_plus = self._inputs(model, 1)
+        for got, want in ((model.jump.p0(h_int, h_plus), _defining_p0(model, h_int, h_plus)),
+                          (model.jump.p_partial(h_int, h_plus),
+                           _defining_p_partial(model, h_int, h_plus))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max(initial=0))
+
+    def test_linear(self, model):
+        (a_int, a_plus), (b_int, b_plus) = self._inputs(model, 2), self._inputs(model, 3)
+        for law in (model.jump.p0, model.jump.p_partial):
+            got = law(0.7 * a_int + 2.5 * b_int, 0.7 * a_plus + 2.5 * b_plus)
+            want = 0.7 * law(a_int, a_plus) + 2.5 * law(b_int, b_plus)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max(initial=0))
+
+    def test_conserves_the_jumped_mass(self, model):
+        # the interior intensity is rate x density, as in every route: a
+        # velocity that never collides carries none
+        f, h_plus = self._inputs(model, 4)
+        h_int = model.rate_values() * f
+        out = model.post_jump(h_int, h_plus)
+        mass_in = h_int @ model.grid.weights + h_plus @ model.gamma_plus.weights
+        mass_out = out.interior.total_mass + out.boundary @ model.gamma_minus.weights
+        assert mass_out == pytest.approx(mass_in, rel=1e-14)

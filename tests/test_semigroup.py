@@ -20,7 +20,7 @@ from pdmpkit import (
     transport_step,
 )
 from pdmpkit.core import JumpLaw, orbit_hazard
-from pdmpkit.semigroup import _free_step, inject
+from pdmpkit.semigroup import _free_step, _trace_matrix, inject
 from pdmpkit.simulate import simulate_ensemble
 
 from test_core import exponential_growth_model
@@ -179,6 +179,11 @@ _STEP_CASES = {
                       0.013),
     "diffuse_slab": (lambda: build_kinetic_slab(KineticSlabParams(n_x=20, boundary="diffuse",
                                                                   **_SLAB4)), 0.03),
+    # velocity 0.5 never collides
+    "diffuse_slab_zero_theta": (lambda: build_kinetic_slab(KineticSlabParams(
+        n_x=20, boundary="diffuse", **{**_SLAB4, "kernel": [[1.0, 1.0, 0.0, 1.0], [1.0, 2.0, 0.0, 0.5],
+                                                           [0.5, 1.0, 0.0, 1.0], [1.0, 0.5, 0.0, 1.0]]})),
+        0.03),
     # no closed-form hazard: the quadrature fallback
     "exp_growth": (lambda: exponential_growth_model(n=30), 0.01),
 }
@@ -213,15 +218,52 @@ def _evolve_by_public_steps(model, f, t, h):
     return f
 
 
+def _evolve_by_three_products(model, f, t, h):
+    """evolve's step one part at a time: the products T f, S f and S (T f),
+    the mass budget f.w - (T f).w - (q f).w from three dot products, and the
+    flux pin that scales the trapezoid of the clamped traces to it."""
+    n = int(t / h + 1e-9)
+    steps = [h] * n + ([t - n * h] if t - n * h > 1e-12 * max(t, 1.0) else [])
+    S = _trace_matrix(model, -1.0)
+    w, wplus = model.grid.weights, model.gamma_plus.weights
+    entry, scale = model.entry_cells, model.gamma_minus.weights / w[model.entry_cells]
+    f = f.values
+    for s in steps:
+        T, q = _free_step(model, s)
+        moved, u = T @ f, f * q
+        flux = 0.5 * s * (np.maximum(S @ f, 0.0) + np.maximum(S @ moved, 0.0))
+        exited = float(f @ w) - float(moved @ w) - float(u @ w)
+        shape_mass = float(flux @ wplus)
+        if exited <= 0.0:
+            flux = np.zeros_like(flux)
+        elif shape_mass > 0.0:
+            flux = flux * (exited / shape_mass)
+        vals = moved + model.jump.p0(u, flux)
+        np.add.at(vals, entry, model.jump.p_partial(u, flux) * scale)
+        f = np.maximum(vals, 0.0)
+    return GridDensity(model.grid, f)
+
+
 class TestAssembledStep:
     @pytest.mark.parametrize("name", list(_STEP_CASES))
     @pytest.mark.parametrize("steps", [12, 12.4])
     def test_evolve_matches_the_public_step_functions(self, name, steps):
+        self._check_against(_evolve_by_public_steps, name, steps)
+
+    @pytest.mark.parametrize("name", list(_STEP_CASES))
+    @pytest.mark.parametrize("steps", [12, 12.4])
+    def test_evolve_matches_the_step_by_three_products(self, name, steps):
+        # the stacked operator carries the half step on the traces, and its
+        # exit row w (1 - q) - T^T w replaces the three dot products
+        self._check_against(_evolve_by_three_products, name, steps)
+
+    @staticmethod
+    def _check_against(reference, name, steps):
         build, h = _STEP_CASES[name]
         model = build()
         f = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
         got = evolve(model, f, steps * h, h).values
-        want = _evolve_by_public_steps(model, f, steps * h, h).values
+        want = reference(model, f, steps * h, h).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("name", list(_STEP_CASES))
