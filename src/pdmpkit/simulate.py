@@ -3,21 +3,21 @@
 Holding times are sampled exactly from the survival function: the time the
 cumulative hazard along the flow takes to reach a unit exponential, cut off
 at the outgoing boundary, from the model's ``inverse_hazard`` or else from
-``core.hazard_crossing``.  ``simulate_path`` follows one trajectory event by
-event.  Ensemble density estimates are histograms of final states from a
-batched engine.  Paths come in chunks of ``_CHUNK``, each with one generator
-derived from (seed, chunk index), so results depend only on (seed, n_paths,
-grid) and the inputs.  One event loop advances up to ``_GROUP`` chunks
-together: each chunk draws from its own generator in the order it would
-alone, while every model call serves all chunks at once.  The same engine
-reports each path's flow segments to path functionals such as the
-discounted time integral of ``verify.resolvent_duality``.
+``core.hazard_crossing``.  One batched event loop draws them, flows each
+path to its next event and jumps it.  Density estimates are histograms of
+its final states.  Paths come in chunks of ``_CHUNK``, each with one
+generator derived from (seed, chunk index), so results depend only on
+(seed, n_paths, grid) and the inputs.  The loop advances up to ``_GROUP``
+chunks together: each chunk draws in the order it would alone, while every
+model call serves all chunks.  It reports flow segments to path functionals
+(``verify.resolvent_duality``) and jumps to ``simulate_path`` and ``step``:
+a single path is a one-row run with the caller's generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,9 +28,8 @@ from .core import (
     ModelError,
     PdmpModel,
     StatePoint,
-    advance,
+    _check_point,
     hazard_crossing,
-    hitting_time,
 )
 
 __all__ = [
@@ -70,12 +69,32 @@ class Path:
         return sum(1 for e in self.events if e.cause in ("rate-jump", "boundary-jump"))
 
 
-def _hazard_crossings(model: PdmpModel, X: np.ndarray, mode: int, xi: np.ndarray,
-                      tp: np.ndarray) -> np.ndarray:
-    """Times at which the hazard from each row of X reaches xi; >= tp: the boundary first."""
+def _holding(model: PdmpModel, X: np.ndarray, mode: int, xi: np.ndarray):
+    """(sigma, tp) for the rows of X, all in ``mode``, and unit exponentials
+    xi: tp the time to Gamma+, sigma = min(hazard crossing of xi, tp).  sigma
+    == tp is a boundary hit, ties included; sigma = tp = inf is no event."""
+    tp = np.asarray(model.flow.hit_plus(X, mode), dtype=float)
     if model.inverse_hazard is not None:
-        return np.asarray(model.inverse_hazard(X, mode, xi), dtype=float)
-    return hazard_crossing(model, X, mode, xi, horizon=tp)
+        s = np.asarray(model.inverse_hazard(X, mode, xi), dtype=float)
+    else:  # >= tp: the boundary first
+        s = hazard_crossing(model, X, mode, xi, horizon=tp)
+    if np.isnan(s).any():
+        raise ModelError(f"holding time of {model.name!r} is NaN in mode {mode}")
+    return np.minimum(s, tp), tp
+
+
+def _check_run(model: PdmpModel, init, t: float, max_jumps: int) -> None:
+    """Refuse a horizon not positive and finite, max_jumps < 1, modes of
+    unequal dimension, and a StatePoint ``init`` that fits no declared mode."""
+    if not 0 < t < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if max_jumps < 1:
+        raise ValueError("max_jumps must be at least 1")
+    if len({b.dim for b in model.grid.blocks}) != 1:
+        raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
+                         "for all modes")
+    if isinstance(init, StatePoint):
+        _check_point(model, init)
 
 
 def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
@@ -86,55 +105,46 @@ def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
     hazard crossing and the boundary hit is classified as a boundary hit,
     since survival drops to zero exactly at the hitting time.
     """
-    xi = rng.exponential()
-    tp = hitting_time(model, x, "forward")
-    s = _hazard_crossings(model, x.coords[None, :], x.mode, np.array([xi]), np.array([tp]))[0]
-    if s >= tp:
-        return (tp, "boundary-hit") if np.isfinite(tp) else (math.inf, "never")
-    return float(s), "rate-jump"
+    _check_point(model, x)
+    sigma, tp = _holding(model, x.coords[None, :], x.mode, rng.exponential(size=1))
+    if sigma[0] < tp[0]:
+        return float(sigma[0]), "rate-jump"
+    return (float(tp[0]), "boundary-hit") if tp[0] < math.inf else (math.inf, "never")
+
+
+def _one_path(model: PdmpModel, x: StatePoint, t: float, rng: np.random.Generator,
+              max_jumps: int) -> Path:
+    """The path from x to time t as the one row of :func:`_run_paths`, drawing
+    from rng.  With t = inf a path without a next event stays where it is."""
+    events = []
+
+    def record(rows, times, boundary, mode, pre, post, post_modes):
+        events.append(PathEvent(float(times[0]), "boundary-jump" if boundary[0] else "rate-jump",
+                                StatePoint(pre[0], mode), StatePoint(post[0], int(post_modes[0]))))
+
+    X, modes = x.coords[None, :].copy(), np.array([x.mode], dtype=np.int64)
+    if _run_paths(model, X, modes, t, [rng], max_jumps, event=record)[0]:
+        last = events[-1]
+        events.append(PathEvent(last.time, "censored", last.post_state, last.post_state))
+        return Path(x, tuple(events), None, censored=True)
+    return Path(x, tuple(events), StatePoint(X[0], int(modes[0])))
 
 
 def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 0.0) -> PathEvent:
     """Advance one jump from x (at absolute time t0)."""
-    sigma, cause = sample_holding(model, x, rng)
-    if cause == "never":
+    _check_point(model, x)
+    events = _one_path(model, x, math.inf, rng, 1).events
+    if not events:
         return PathEvent(math.inf, "never", None, None)
-    moved = advance(model, x, sigma)
-    if cause == "boundary-hit":  # sigma is the hitting time itself, so advance clamps
-        pre, cause_out = moved[0], "boundary-jump"
-    else:
-        pre, cause_out = moved, "rate-jump"
-    X, modes = _sample_jumps(model, pre.coords[None, :], pre.mode, [(rng, 0, 1)])
-    return PathEvent(t0 + sigma, cause_out, pre, StatePoint(X[0], int(modes[0])))
+    return replace(events[0], time=t0 + events[0].time)
 
 
-def simulate_path(
-    model: PdmpModel,
-    x0: StatePoint,
-    horizon: float,
-    rng: np.random.Generator,
-    max_jumps: int = 1_000_000,
-) -> Path:
+def simulate_path(model: PdmpModel, x0: StatePoint, horizon: float, rng: np.random.Generator,
+                  max_jumps: int = 1_000_000) -> Path:
     """Simulate until the horizon or until max_jumps (censoring proxy for a
-    possible explosion)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if max_jumps < 1:
-        raise ValueError("max_jumps must be at least 1")
-    t, x = 0.0, x0
-    events = []
-    while True:
-        ev = step(model, x, rng, t0=t)
-        if ev.cause == "never" or ev.time > horizon:
-            final = advance(model, x, horizon - t)
-            if isinstance(final, tuple):
-                final = final[0]
-            return Path(x0, tuple(events), final, censored=False)
-        events.append(ev)
-        t, x = ev.time, ev.post_state
-        if len(events) >= max_jumps and t < horizon:
-            events.append(PathEvent(t, "censored", x, x))
-            return Path(x0, tuple(events), None, censored=True)
+    possible explosion): one row of the batched engine, drawing from rng."""
+    _check_run(model, x0, horizon, max_jumps)
+    return _one_path(model, x0, horizon, rng, max_jumps)
 
 
 def _sample_states(density: GridDensity, n: int, rng: np.random.Generator):
@@ -221,12 +231,14 @@ class Ensemble(NamedTuple):
 def _chunk_parts(rows: np.ndarray, rngs):
     """(rngs[c], lo, hi) for each chunk c whose rows are rows[lo:hi]; ``rows``
     is ascending and chunk c holds rows c * _CHUNK up to (c + 1) * _CHUNK."""
+    if len(rngs) == 1:  # a single chunk holds every row
+        return [(rngs[0], 0, rows.size)]
     cut = np.searchsorted(rows, np.arange(len(rngs) + 1) * _CHUNK).tolist()
     return [(rng, lo, hi) for rng, lo, hi in zip(rngs, cut, cut[1:]) if hi > lo]
 
 
 def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
-               rngs, max_jumps: int, segment=None) -> np.ndarray:
+               rngs, max_jumps: int, segment=None, event=None) -> np.ndarray:
     """Advance paths started at (X, modes) to time t, in place, one event
     round at a time: every live path draws its next holding time, paths
     whose next event falls past t flow to t and retire, the others flow to
@@ -237,8 +249,10 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
     model call runs once per mode per round over all chunks, and so does
     ``segment(rows, Xm, mode, t0, t1)``, if given: it receives the flow
     segment of each live path in that mode, which starts at Xm at time t0
-    and ends at t1 = min(next event, t).  Returns the mask of paths
-    censored at max_jumps."""
+    and ends at t1 = min(next event, t); so does ``event(rows, times,
+    boundary, mode, pre, post, post_modes)`` with the jumps: their times,
+    whether each hit Gamma+, the pre- and the post-jump states.  With t =
+    inf a path with no event stays put.  Returns the censored mask."""
     n = X.shape[0]
     clock = np.zeros(n)
     jumps = np.zeros(n, dtype=np.int64)
@@ -249,31 +263,33 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
         for rng, lo, hi in _chunk_parts(live, rngs):
             xi[lo:hi] = rng.exponential(size=hi - lo)
         live_modes = modes[live]
-        jumped = []
-        for m in np.flatnonzero(np.bincount(live_modes)).tolist():
-            k = np.flatnonzero(live_modes == m)
+        jumped, present = [], np.flatnonzero(np.bincount(live_modes)).tolist()
+        for m in present:
+            k = np.flatnonzero(live_modes == m) if len(present) > 1 else slice(None)
             rows = live[k]
             Xm = X[rows]
-            tp = np.asarray(model.flow.hit_plus(Xm, m), dtype=float)
-            s = _hazard_crossings(model, Xm, m, xi[k], tp)
-            if np.isnan(s).any():
-                raise ModelError(f"holding time of {model.name!r} is NaN in mode {m}")
-            sigma = np.minimum(s, tp)  # boundary first; with tp = inf, no event at all
-            end = clock[rows] + sigma
+            sigma, tp = _holding(model, Xm, m, xi[k])
+            t0 = clock[rows]
+            end = t0 + sigma
             if segment is not None:
-                segment(rows, Xm, m, clock[rows], np.minimum(end, t))
+                segment(rows, Xm, m, t0, np.minimum(end, t))
             go = end <= t
             # one flow step per path, to its jump or to t; rows clamped at Gamma+ are not checked
-            dt = np.where(go, sigma, np.minimum(t - clock[rows], tp))
+            dt = np.where(go, sigma, np.minimum(t - t0, tp))
+            if t == math.inf:  # a path with no event at all neither jumps nor moves
+                go &= sigma < t
+                dt[~go] = 0.0
             Y = model.flow.phi(dt, Xm, m)
             inside = (dt >= tp) | model.in_state_space(Y, m)
-            if not np.all(inside):
+            if not inside.all():
                 raise ModelError(f"flow of {model.name!r} left the chart in mode {m} before "
-                                 f"t={(clock[rows] + dt)[np.argmin(inside)]}")
+                                 f"t={(t0 + dt)[np.argmin(inside)]}")
             X[rows] = Y
             if go.any():
-                r = rows[go]
-                X[r], modes[r] = _sample_jumps(model, Y[go], m, _chunk_parts(r, rngs))
+                r, pre = rows[go], Y[go]
+                X[r], modes[r] = _sample_jumps(model, pre, m, _chunk_parts(r, rngs))
+                if event is not None:
+                    event(r, end[go], (sigma == tp)[go], m, pre, X[r], modes[r])
                 clock[r] = end[go]
                 jumps[r] += 1
                 jumped.append(r)
@@ -299,16 +315,7 @@ def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
         raise ValueError("n_paths must be at least 1")
     if model.grid.n_cells == 0:
         raise ValueError("model has an empty interior grid")
-    if t <= 0:
-        raise ValueError("horizon must be positive")
-    if max_jumps < 1:
-        raise ValueError("max_jumps must be at least 1")
-    dims = {b.dim for b in model.grid.blocks}
-    if len(dims) != 1:
-        raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
-                         "for all modes")
-    if isinstance(init, StatePoint) and init.dim != model.grid.block(init.mode).dim:
-        raise ModelError(f"initial point {init} does not match mode {init.mode} of {model.name!r}")
+    _check_run(model, init, t, max_jumps)
     for i0 in range(0, n_paths, _GROUP * _CHUNK):
         n = min(_GROUP * _CHUNK, n_paths - i0)
         starts = range(0, n, _CHUNK)
@@ -325,14 +332,8 @@ def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
         yield X, modes, _run_paths(model, X, modes, t, rngs, max_jumps, report)
 
 
-def simulate_ensemble(
-    model: PdmpModel,
-    init,
-    t: float,
-    n_paths: int,
-    seed: int,
-    max_jumps: int = 100_000,
-) -> Ensemble:
+def simulate_ensemble(model: PdmpModel, init, t: float, n_paths: int, seed: int,
+                      max_jumps: int = 100_000) -> Ensemble:
     """Simulate n_paths paths to time t and count where they end.
 
     ``init`` is a GridDensity or a StatePoint.  Paths come in chunks of
@@ -353,14 +354,8 @@ def simulate_ensemble(
     return Ensemble(counts, censored, left)
 
 
-def estimate_density(
-    model: PdmpModel,
-    init,
-    t: float,
-    n_paths: int,
-    seed: int,
-    max_jumps: int = 100_000,
-):
+def estimate_density(model: PdmpModel, init, t: float, n_paths: int, seed: int,
+                     max_jumps: int = 100_000):
     """Monte Carlo density of X(t): (GridDensity, censored_mass).
 
     ``init`` is a GridDensity or a StatePoint.  censored_mass counts paths

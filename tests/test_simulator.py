@@ -11,6 +11,7 @@ from pdmpkit import (
     GridDensity,
     KineticSlabParams,
     ModelError,
+    PathEvent,
     StatePoint,
     advance,
     build_cell_cycle,
@@ -102,6 +103,19 @@ class TestPaths:
         assert ev.cause == "boundary-jump"
         assert ev.pre_state.coords[0] == pytest.approx(1.0)
         assert 0.0 <= ev.post_state.coords[0] <= 1.0
+
+    def test_step_never_flows_by_an_infinite_time(self):
+        m2 = build_drift_redistribute("m2", n_cells=50)
+        steps = []
+
+        def phi(t, X, mode):
+            steps.append(np.asarray(t))
+            return m2.flow.phi(t, X, mode)
+
+        tracked = dataclasses.replace(m2, flow=dataclasses.replace(m2.flow, phi=phi))
+        ev = step(tracked, StatePoint(np.array([1.0]), 0), np.random.default_rng(2))
+        assert ev == PathEvent(math.inf, "never", None, None)
+        assert all(np.isfinite(t).all() for t in steps)
 
     def test_same_seed_reproduces_path(self, m3):
         x0 = StatePoint(np.array([0.5]), 0)
@@ -222,6 +236,34 @@ class TestEstimateDensity:
             step(timed, x, rng)
 
 
+_BAD_ARGUMENTS = {  # what to change in a good call, the error and its message
+    "zero horizon": (dict(t=0.0), ValueError, "horizon"),
+    "negative horizon": (dict(t=-1.0), ValueError, "horizon"),
+    "infinite horizon": (dict(t=math.inf), ValueError, "horizon"),
+    "no jump allowed": (dict(max_jumps=0), ValueError, "max_jumps"),
+    "undeclared mode": (dict(x=StatePoint(np.array([0.5]), 3)), ModelError, "mode 3"),
+    "wrong dimension": (dict(x=StatePoint(np.array([0.5, 0.5]), 0)), ModelError, "dimension"),
+}
+_ENTRY_POINTS = {  # each takes (model, x, t, max_jumps); step and sample_holding only x
+    "simulate_path": lambda m, x, t, max_jumps: simulate_path(
+        m, x, t, np.random.default_rng(0), max_jumps),
+    "simulate_ensemble": lambda m, x, t, max_jumps: simulate_ensemble(m, x, t, 10, 0, max_jumps),
+    "step": lambda m, x, t, max_jumps: step(m, x, np.random.default_rng(0)),
+    "sample_holding": lambda m, x, t, max_jumps: sample_holding(m, x, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in _ENTRY_POINTS for bad, (change, _, _) in _BAD_ARGUMENTS.items()
+    if "x" in change or entry in ("simulate_path", "simulate_ensemble")])
+def test_bad_arguments_are_refused(m1, entry, bad):
+    good = dict(x=StatePoint(np.array([0.5]), 0), t=1.0, max_jumps=10)
+    _ENTRY_POINTS[entry](m1, **good)
+    change, error, message = _BAD_ARGUMENTS[bad]
+    with pytest.raises(error, match=message):
+        _ENTRY_POINTS[entry](m1, **(good | change))
+
+
 def _coarse_bins(model, coarse):
     """Coarse bin of each fine cell; the last bin collects paths that were
     censored or left the grid."""
@@ -281,8 +323,10 @@ def _exp_growth_case():
     (_exp_growth_case, 300),  # no inverse hazard: root finding in both engines
 ])
 def test_batched_engine_samples_the_scalar_law(case, n_paths):
-    """Two-sample chi-square between the batched engine and a loop over the
-    scalar trajectory sampler, on coarse bins of X(t)."""
+    """Two-sample chi-square between the batched engine and a loop over
+    simulate_path, on coarse bins of X(t).  simulate_path is a one-row run
+    of the same engine, so this compares the engine with itself under other
+    generators; the closed-form laws above check it independently."""
     model, coarse, t = case()
     # a ramp over the cell numbering, so that no model starts at equilibrium
     init = GridDensity(model.grid, np.linspace(0.2, 1.8, model.grid.n_cells)).normalized()
@@ -368,3 +412,88 @@ def test_grouping_chunks_leaves_the_output_unchanged(monkeypatch, group):
     per_group = group * simulate._CHUNK
     first = [min(per_group, 2500 - i) for i in range(0, 2500, per_group)]
     assert sizes[:len(first)] == first and max(sizes) == per_group
+
+
+def _state_bytes(x):
+    return b"none" if x is None else x.coords.tobytes() + np.int64(x.mode).tobytes()
+
+
+def _event_bytes(ev):
+    return (np.float64(ev.time).tobytes() + ev.cause.encode()
+            + _state_bytes(ev.pre_state) + _state_bytes(ev.post_state))
+
+
+def _paths_digest(paths):
+    h = hashlib.sha256()
+    for path in paths:
+        for ev in path.events:
+            h.update(_event_bytes(ev))
+        h.update(_state_bytes(path.final_state) + bytes([path.censored]))
+    return h.hexdigest()
+
+
+# (model, t, max_jumps, seed, sha256 of 10 paths from the ramp, one generator each): digests taken when
+# simulate_path still had its own event loop over sample_holding, step and advance
+_SEEDED_PATHS = {
+    "m1": (lambda: build_drift_redistribute("m1", n_cells=100), 3.0, 1_000_000, 71,
+           "0c4975517459147ce3c34f101cae9b9b14ae529d67e993f992f0e7a2e1f9dd53"),
+    "m2": (lambda: build_drift_redistribute("m2", n_cells=50), 2.5, 1_000_000, 73,
+           "24fe43c41aac2acbdc6788f80ad2a8c53a1a3fb500d0efac36280d1cb1020a2a"),
+    "m3": (lambda: build_drift_redistribute("m3", n_cells=100, q=2.0), 2.0, 1_000_000, 79,
+           "8e3f7e19b829563b219afdae4ad4f9b5e376f4ea0a92408fcd13fa5191e646e3"),
+    "m3_censored": (lambda: build_drift_redistribute("m3", n_cells=100, q=2.0), 50.0, 3, 83,
+                    "c1458cb80ab542c4ecdbab33d1e9241f9b650f5bdb4a826786b77accb7f403f5"),
+    "slab2": (lambda: build_kinetic_slab(KineticSlabParams(n_x=20, kernel=np.ones((2, 2)))),
+              1.5, 1_000_000, 89,
+              "d10b510a291673adef7ccf093a6413bad42a275f286aec2a40240bff1c7cba50"),
+    "slab4": (lambda: _slab_case()[0], 0.5, 1_000_000, 97,
+              "281e126ec69b98bbc0c69b1edb06f41472e843ab168d56f1e75f01ac3b9cf6b4"),
+    "cycle": (lambda: _cycle_case()[0], 2.0, 1_000_000, 101,
+              "f6df4a69bff93da8ce933a78d66acef8310774b322fcbce787e9755998a4bd48"),
+    "exp_growth": (lambda: exponential_growth_model(n=30), 1.0, 1_000_000, 103,
+                   "f7af0d7f4643d4e7b23763cb184b8699c312d66fdc899f20384649d80e500664"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_PATHS))
+def test_seeded_paths_keep_their_bytes(name):
+    build, t, max_jumps, seed, want = _SEEDED_PATHS[name]
+    model = build()
+    paths = []
+    for rng in map(np.random.default_rng, [[seed, k] for k in range(10)]):
+        paths.append(simulate_path(model, sample_from_density(model, _ramp(model), rng), t, rng,
+                                   max_jumps))
+    assert _paths_digest(paths) == want
+
+
+# sha256 of 10 steps, and of 200 holding times, from points drawn from the ramp
+_SEEDED_STEPS = {
+    "m1": ("boundary-jump", "6a28602ac2fab6d8a0c0d4ad74b10a4250c07223a963dd1cbd6be9fed5fa45bd"),
+    "m2": ("never", "4f54b844d7591dc0fac785ac96b21d0dedadc3402e8fbf555d705b36fbdc4501"),
+    "m3": ("rate-jump", "676aa402fe114841d0fce71a5ffbfd8f070280eb9d21852743ae4051ee3730bf"),
+}
+_SEEDED_HOLDING_TIMES = {
+    "m1": "0970ac2926162134aa0d6959d67f50e8659cfd970d857867f24fdffd952c6a0b",
+    "m3": "b7fc7f166eafbca34f52b895d76f962e860eac4099f0bfc5fc10c9d1bbcef339",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SEEDED_STEPS))
+def test_seeded_steps_keep_their_bytes(variant):
+    cause, want = _SEEDED_STEPS[variant]
+    model = build_drift_redistribute(variant, n_cells=50)
+    rng = np.random.default_rng(107)
+    events = [step(model, sample_from_density(model, _ramp(model), rng), rng, t0=0.25 * k)
+              for k in range(10)]
+    assert {ev.cause for ev in events} == {cause}
+    assert hashlib.sha256(b"".join(map(_event_bytes, events))).hexdigest() == want
+
+
+@pytest.mark.parametrize("variant", sorted(_SEEDED_HOLDING_TIMES))
+def test_seeded_holding_times_keep_their_bytes(variant):
+    model = build_drift_redistribute(variant, n_cells=50, q=2.0)
+    rng = np.random.default_rng(109)
+    draws = [sample_holding(model, sample_from_density(model, _ramp(model), rng), rng)
+             for _ in range(200)]
+    digest = hashlib.sha256(b"".join(np.float64(s).tobytes() + c.encode() for s, c in draws))
+    assert digest.hexdigest() == _SEEDED_HOLDING_TIMES[variant]
