@@ -83,18 +83,24 @@ def _holding(model: PdmpModel, X: np.ndarray, mode: int, xi: np.ndarray):
     return np.minimum(s, tp), tp
 
 
-def _check_run(model: PdmpModel, init, t: float, max_jumps: int) -> None:
-    """Refuse a horizon not positive and finite, max_jumps < 1, modes of
-    unequal dimension, and a StatePoint ``init`` that fits no declared mode."""
-    if not 0 < t < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    if max_jumps < 1:
-        raise ValueError("max_jumps must be at least 1")
+def _check_start(model: PdmpModel, init) -> None:
+    """Refuse modes of unequal dimension, which the engine's one state array
+    cannot hold, and a StatePoint ``init`` that fits no declared mode."""
     if len({b.dim for b in model.grid.blocks}) != 1:
         raise ModelError(f"model {model.name!r}: the Monte Carlo engine needs one dimension "
                          "for all modes")
     if isinstance(init, StatePoint):
         _check_point(model, init)
+
+
+def _check_run(model: PdmpModel, init, t: float, max_jumps: int) -> None:
+    """Refuse a horizon not positive and finite, max_jumps < 1, and what
+    :func:`_check_start` refuses."""
+    if not 0 < t < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if max_jumps < 1:
+        raise ValueError("max_jumps must be at least 1")
+    _check_start(model, init)
 
 
 def sample_holding(model: PdmpModel, x: StatePoint, rng: np.random.Generator):
@@ -131,8 +137,10 @@ def _one_path(model: PdmpModel, x: StatePoint, t: float, rng: np.random.Generato
 
 
 def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 0.0) -> PathEvent:
-    """Advance one jump from x (at absolute time t0)."""
-    _check_point(model, x)
+    """Advance one jump from x (at absolute time t0): the first jump of a
+    one-row engine run.  Refuses, with ModelError, a model whose modes differ
+    in dimension."""
+    _check_start(model, x)
     events = _one_path(model, x, math.inf, rng, 1).events
     if not events:
         return PathEvent(math.inf, "never", None, None)
@@ -142,7 +150,8 @@ def step(model: PdmpModel, x: StatePoint, rng: np.random.Generator, t0: float = 
 def simulate_path(model: PdmpModel, x0: StatePoint, horizon: float, rng: np.random.Generator,
                   max_jumps: int = 1_000_000) -> Path:
     """Simulate until the horizon or until max_jumps (censoring proxy for a
-    possible explosion): one row of the batched engine, drawing from rng."""
+    possible explosion): one row of the batched engine, drawing from rng.
+    Refuses, with ModelError, a model whose modes differ in dimension."""
     _check_run(model, x0, horizon, max_jumps)
     return _one_path(model, x0, horizon, rng, max_jumps)
 
@@ -231,8 +240,6 @@ class Ensemble(NamedTuple):
 def _chunk_parts(rows: np.ndarray, rngs):
     """(rngs[c], lo, hi) for each chunk c whose rows are rows[lo:hi]; ``rows``
     is ascending and chunk c holds rows c * _CHUNK up to (c + 1) * _CHUNK."""
-    if len(rngs) == 1:  # a single chunk holds every row
-        return [(rngs[0], 0, rows.size)]
     cut = np.searchsorted(rows, np.arange(len(rngs) + 1) * _CHUNK).tolist()
     return [(rng, lo, hi) for rng, lo, hi in zip(rngs, cut, cut[1:]) if hi > lo]
 
@@ -251,8 +258,10 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
     segment of each live path in that mode, which starts at Xm at time t0
     and ends at t1 = min(next event, t); so does ``event(rows, times,
     boundary, mode, pre, post, post_modes)`` with the jumps: their times,
-    whether each hit Gamma+, the pre- and the post-jump states.  With t =
-    inf a path with no event stays put.  Returns the censored mask."""
+    whether each hit Gamma+, the pre- and the post-jump states.  A path with
+    no next event (sigma = inf) never jumps; with t = inf, which
+    :func:`step` uses to reach a first jump however late, it stays put
+    rather than flow for an infinite time.  Returns the censored mask."""
     n = X.shape[0]
     clock = np.zeros(n)
     jumps = np.zeros(n, dtype=np.int64)
@@ -263,9 +272,9 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
         for rng, lo, hi in _chunk_parts(live, rngs):
             xi[lo:hi] = rng.exponential(size=hi - lo)
         live_modes = modes[live]
-        jumped, present = [], np.flatnonzero(np.bincount(live_modes)).tolist()
-        for m in present:
-            k = np.flatnonzero(live_modes == m) if len(present) > 1 else slice(None)
+        jumped = []
+        for m in np.flatnonzero(np.bincount(live_modes)).tolist():
+            k = np.flatnonzero(live_modes == m)
             rows = live[k]
             Xm = X[rows]
             sigma, tp = _holding(model, Xm, m, xi[k])
@@ -273,15 +282,13 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             end = t0 + sigma
             if segment is not None:
                 segment(rows, Xm, m, t0, np.minimum(end, t))
-            go = end <= t
+            go = (end <= t) & (sigma < math.inf)
             # one flow step per path, to its jump or to t; rows clamped at Gamma+ are not checked
             dt = np.where(go, sigma, np.minimum(t - t0, tp))
-            if t == math.inf:  # a path with no event at all neither jumps nor moves
-                go &= sigma < t
-                dt[~go] = 0.0
+            dt[dt == math.inf] = 0.0  # no event and t = inf: nowhere to flow to
             Y = model.flow.phi(dt, Xm, m)
             inside = (dt >= tp) | model.in_state_space(Y, m)
-            if not inside.all():
+            if not np.all(inside):
                 raise ModelError(f"flow of {model.name!r} left the chart in mode {m} before "
                                  f"t={(t0 + dt)[np.argmin(inside)]}")
             X[rows] = Y
@@ -332,8 +339,14 @@ def _run_chunks(model: PdmpModel, init, t: float, n_paths: int, seed: int,
         yield X, modes, _run_paths(model, X, modes, t, rngs, max_jumps, report)
 
 
-def simulate_ensemble(model: PdmpModel, init, t: float, n_paths: int, seed: int,
-                      max_jumps: int = 100_000) -> Ensemble:
+def simulate_ensemble(
+    model: PdmpModel,
+    init,
+    t: float,
+    n_paths: int,
+    seed: int,
+    max_jumps: int = 100_000,
+) -> Ensemble:
     """Simulate n_paths paths to time t and count where they end.
 
     ``init`` is a GridDensity or a StatePoint.  Paths come in chunks of
@@ -354,8 +367,14 @@ def simulate_ensemble(model: PdmpModel, init, t: float, n_paths: int, seed: int,
     return Ensemble(counts, censored, left)
 
 
-def estimate_density(model: PdmpModel, init, t: float, n_paths: int, seed: int,
-                     max_jumps: int = 100_000):
+def estimate_density(
+    model: PdmpModel,
+    init,
+    t: float,
+    n_paths: int,
+    seed: int,
+    max_jumps: int = 100_000,
+):
     """Monte Carlo density of X(t): (GridDensity, censored_mass).
 
     ``init`` is a GridDensity or a StatePoint.  censored_mass counts paths

@@ -236,6 +236,13 @@ class TestEstimateDensity:
             step(timed, x, rng)
 
 
+def _with_a_2d_mode(model):
+    """model with a second, 2-d mode that no path visits."""
+    block = model.grid.blocks[0]
+    grid = InteriorGrid([block, ModeBlock(1, [block.axes[0], block.axes[0]])])
+    return dataclasses.replace(model, grid=grid, backward_orbit=None)
+
+
 _BAD_ARGUMENTS = {  # what to change in a good call, the error and its message
     "zero horizon": (dict(t=0.0), ValueError, "horizon"),
     "negative horizon": (dict(t=-1.0), ValueError, "horizon"),
@@ -243,6 +250,7 @@ _BAD_ARGUMENTS = {  # what to change in a good call, the error and its message
     "no jump allowed": (dict(max_jumps=0), ValueError, "max_jumps"),
     "undeclared mode": (dict(x=StatePoint(np.array([0.5]), 3)), ModelError, "mode 3"),
     "wrong dimension": (dict(x=StatePoint(np.array([0.5, 0.5]), 0)), ModelError, "dimension"),
+    "mixed dimensions": (dict(m=_with_a_2d_mode), ModelError, "one dimension"),
 }
 _ENTRY_POINTS = {  # each takes (model, x, t, max_jumps); step and sample_holding only x
     "simulate_path": lambda m, x, t, max_jumps: simulate_path(
@@ -253,15 +261,32 @@ _ENTRY_POINTS = {  # each takes (model, x, t, max_jumps); step and sample_holdin
 }
 
 
+def _refuses(entry, change):
+    """Whether ``entry`` checks what ``change`` breaks: every entry point
+    checks the start point, the engine's three the model's dimensions, and
+    the two that take them the horizon and max_jumps."""
+    if "x" in change:
+        return True
+    if "m" in change:  # sample_holding flows one point and runs no engine
+        return entry != "sample_holding"
+    return entry in ("simulate_path", "simulate_ensemble")
+
+
 @pytest.mark.parametrize("entry, bad", [
     (entry, bad) for entry in _ENTRY_POINTS for bad, (change, _, _) in _BAD_ARGUMENTS.items()
-    if "x" in change or entry in ("simulate_path", "simulate_ensemble")])
+    if _refuses(entry, change)])
 def test_bad_arguments_are_refused(m1, entry, bad):
-    good = dict(x=StatePoint(np.array([0.5]), 0), t=1.0, max_jumps=10)
-    _ENTRY_POINTS[entry](m1, **good)
+    good = dict(m=m1, x=StatePoint(np.array([0.5]), 0), t=1.0, max_jumps=10)
+    _ENTRY_POINTS[entry](**good)
     change, error, message = _BAD_ARGUMENTS[bad]
+    change = {k: v(m1) if k == "m" else v for k, v in change.items()}
     with pytest.raises(error, match=message):
-        _ENTRY_POINTS[entry](m1, **(good | change))
+        _ENTRY_POINTS[entry](**(good | change))
+
+
+def test_sample_holding_takes_modes_of_any_dimension(m1):
+    x = StatePoint(np.array([0.3]), 0)
+    assert sample_holding(_with_a_2d_mode(m1), x, np.random.default_rng(0)) == (0.7, "boundary-hit")
 
 
 def _coarse_bins(model, coarse):
