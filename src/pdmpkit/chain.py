@@ -23,10 +23,11 @@ slab and cell-cycle phase I; the clock axis y of phase II), as in the upwind
 sweep of discrete-ordinates transport codes: the exponent is additive along
 an orbit and J a cocycle, so the row at x is its own row up to the first face
 z its orbit crosses plus e^{-lam t - H(t)} J_{-t}(x) times R0 at z.  The face
-points are that axis's interior faces crossed with the other axes' centers
-and values; R0 at z is picked up from them multilinearly along the other
-continuous axes (exact on discrete ones), the short-characteristics method
-of radiative transfer (Kunasz & Auer, JQSRT 39, 1988).  Rows stop at their
+points are the cells of a grid block of their own: the block with its swept
+axis replaced by a discrete axis of that axis's interior faces.  R0 at z is
+picked up at that block's interpolation corners, multilinearly along the
+other continuous axes (exact on discrete ones), the short-characteristics
+method of radiative transfer (Kunasz & Auer, JQSRT 39, 1988).  Rows stop at their
 first face and one sparse LU solve over the face points carries them on, so
 a row holds the cells between two faces, not its whole orbit.  The cutoff
 then only ends orbits that reach no face (static orbits); a drifting orbit
@@ -47,7 +48,6 @@ points' pickups of one another, so that for a stacked pair x
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -140,17 +140,17 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
     point where its discount exponent lam t + H(t) reaches the cutoff; one
     ``hazard_crossing`` call decides this for all rows.  Its segments between
     face crossings are integrated by Gauss quadrature, a batch of rows at a
-    time.  With ``sweep = (k, pinned, offset, n_faces)`` the rows have n_faces
+    time.  With ``sweep = (k, on_faces, offset, n_faces)`` the rows have n_faces
     face columns, and an orbit also stops at the nearer of its two faces on
     axis k (unless k is None).  If that face is an interior one, the row picks
-    up e^{-lam t - H(t)} J_{-t} at the corners of ``pinned`` (the block with
-    axis k pinned to 0) where the orbit meets it, face index spliced in, from
-    column ``offset`` on.  Without a sweep the rows are whole."""
+    up e^{-lam t - H(t)} J_{-t} at the corners of ``on_faces`` (the block whose
+    axis k holds the interior faces as discrete values) where the orbit meets
+    it, from column ``offset`` on.  Without a sweep the rows are whole."""
     n, n_cells = X.shape[0], model.grid.n_cells
-    block = model.grid.block(mode)
-    swept, pinned, offset, n_faces = sweep or (None, None, 0, 0)
+    swept, on_faces, offset, n_faces = sweep or (None, None, 0, 0)
     hit = np.asarray(model.flow.hit_minus(X, mode), dtype=float)
     end = hit
+    block = model.grid.block(mode)
     axes = [(k, ax) for k, ax in enumerate(block.axes) if isinstance(ax, ContinuousAxis)]
     for k, ax in axes:
         j = np.repeat([0, ax.n], n)  # the outer faces; on the swept axis the two around X
@@ -162,7 +162,7 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
         tau, j = t[near, np.arange(n)], j.reshape(2, n)[near, np.arange(n)]
         end = np.minimum(end, tau)
         if k == swept:  # nan where the nearer face is an outer one
-            face, tau_face = j - 1, np.where((j > 0) & (j < ax.n), tau, np.nan)
+            tau_face = np.where((j > 0) & (j < ax.n), tau, np.nan)
     # cut where the discount exponent reaches the cutoff; inf when it stays below it forever
     end = hazard_crossing(model, X, mode, EXPONENT_CUTOFF, lam, horizon=end, backward=True)
     if np.isinf(end).any():
@@ -196,11 +196,7 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
         stencil = model.gamma_minus.stencil(Z)
     corners = [(wall, model.gamma_minus.n_cells, *stencil)]
     if swept is not None:
-        on_face = Z.copy()
-        on_face[:, swept] = 0.0
-        idx, w = pinned.corners(on_face)
-        stride = math.prod(block.shape[swept + 1:])
-        idx = (idx // stride * (block.axes[swept].n - 1) + face[:, None]) * stride + idx % stride
+        idx, w = on_faces.corners(Z)
         corners.append((~wall & (end == tau_face), n_faces, idx + offset, w))
     # one CSR: each row's interior entries, then its nonzero pickups, column block by block
     starts = np.cumsum([n_cells] + [width for _, width, _, _ in corners])
@@ -223,7 +219,7 @@ def _matrices(model: PdmpModel, lam: float):
     (rows, face rows, LU of I - W).  ``rows`` holds R0 at the cell centers,
     then at the outgoing-boundary points, over the stacked columns of _rows;
     the face rows hold R0 at the face points over the pair columns, and W is
-    their face columns."""
+    their face columns.  A swept block's face points are the cells of its face block."""
     per_model = _CACHE.setdefault(model, OrderedDict())
     key = float(lam)
     if key in per_model:
@@ -231,21 +227,19 @@ def _matrices(model: PdmpModel, lam: float):
         return per_model[key]
     if model.backward_orbit is None:
         raise DivergentIntegralError(f"model {model.name!r} supplies no backward orbits")
-    sweeps, faces, n_faces = {}, [], 0  # mode -> (swept axis or None, block with it pinned, offset)
+    sweeps, n_faces = {}, 0  # mode -> (swept axis or None, its face points' block, offset)
     for b in model.grid.blocks:
         sizes = {k: a.n for k, a in enumerate(b.axes) if isinstance(a, ContinuousAxis) and a.n > 1}
         k = min(sizes, key=sizes.get, default=None)  # the fewest faces to sweep across
-        sweeps[b.mode] = (k, ModeBlock(b.mode, [DiscreteAxis([0.0], [1.0]) if j == k else a
-                                                for j, a in enumerate(b.axes)]), n_faces)
-        if sizes:
-            mesh = np.meshgrid(*[a.faces[1:-1] if j == k else a.centers
-                                 if isinstance(a, ContinuousAxis) else a.values
-                                 for j, a in enumerate(b.axes)], indexing="ij")
-            faces.append((b.mode, np.stack([m.ravel() for m in mesh], axis=-1)))
-            n_faces += faces[-1][1].shape[0]
+        on_faces = None if k is None else ModeBlock(b.mode, [  # axis k on its interior faces
+            DiscreteAxis(a.faces[1:-1], np.ones(a.n - 1)) if j == k else a
+            for j, a in enumerate(b.axes)])
+        sweeps[b.mode] = (k, on_faces, n_faces)
+        n_faces += 0 if k is None else on_faces.n_cells
     sweeps = {mode: (*s, n_faces) for mode, s in sweeps.items()}
     n_pair = model.grid.n_cells + model.gamma_minus.n_cells
-    face_rows = sparse.vstack([*(_rows(model, mode, F, lam, sweeps[mode]) for mode, F in faces),
+    face_rows = sparse.vstack([*(_rows(model, mode, s[1].centers, lam, s)
+                                 for mode, s in sweeps.items() if s[0] is not None),
                                sparse.csr_matrix((0, n_pair + n_faces))], format="csr")
     # face points are numbered along each sweep, where I - W is block triangular: no fill
     lu = splu(sparse.identity(n_faces, format="csc") - face_rows[:, n_pair:].tocsc(),

@@ -517,8 +517,8 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     n_v = vels.size
     if np.any(vels == 0):
         raise ModelError("zero velocities have no boundary cells; not supported")
-    xaxis = ContinuousAxis.uniform(0.0, L, p.n_x)
-    block = ModeBlock(0, [xaxis, DiscreteAxis(vels, nu)])
+    xaxis, vaxis = ContinuousAxis.uniform(0.0, L, p.n_x), DiscreteAxis(vels, nu)
+    block = ModeBlock(0, [xaxis, vaxis])
     grid = InteriorGrid([block])
     n_x = p.n_x
 
@@ -529,7 +529,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     bw = np.abs(vels) * nu
     gamma_plus = BoundaryGrid(0, np.column_stack([wall_out, vels]), bw.copy())
     gamma_minus = BoundaryGrid(0, np.column_stack([wall_in, vels]), bw.copy(),
-                               axis=(1, DiscreteAxis(vels, nu)))
+                               axis=(1, vaxis))
     # gamma cell index == velocity index, by construction above
 
     def phi(t, X, mode):
@@ -546,15 +546,17 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     def hit_minus(X, mode):
         return np.where(X[:, 1] > 0, X[:, 0] / X[:, 1], (X[:, 0] - L) / X[:, 1])
 
-    # the nearest velocity: search the midpoints between the sorted velocities
-    order = np.argsort(vels, kind="stable")
-    v_mid = 0.5 * (vels[order][1:] + vels[order][:-1])
-
-    def v_indices(X):
-        return order[np.searchsorted(v_mid, X[:, 1])]
+    def matrix(name, M):  # a law on the velocity axis: finite, nonnegative, (n_v, n_v)
+        try:
+            M = np.asarray(M, dtype=float)
+        except ValueError:  # ragged rows
+            M = np.zeros(0)
+        if M.shape != (n_v, n_v) or not np.all(np.isfinite(M) & (M >= 0)):
+            raise ModelError(f"{name} must be a finite, nonnegative ({n_v}, {n_v}) matrix")
+        return M
 
     if p.kernel is not None:
-        K = np.asarray(p.kernel, dtype=float)
+        K = matrix("kernel", p.kernel)
         theta_v = K.T @ nu  # theta[v_in] = sum_out k[out, in] nu[out]
         # the collision law on the velocity axis: C[v_in, v_out] = nu[v_in]
         # k[v_out, v_in] / theta[v_in], a zero row where theta[v_in] = 0
@@ -565,19 +567,19 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         theta_v = np.zeros(n_v)
 
     def rate(X, mode):
-        return theta_v[v_indices(X)]
+        return theta_v[vaxis.nearest(X[:, 1])[0]]
 
     def cumulative_hazard(X, mode, t):
         return rate(X, mode) * t
 
     def inverse_hazard(X, mode, xi):
-        th = theta_v[v_indices(X)]
+        th = rate(X, mode)
         with np.errstate(divide="ignore"):
             return np.where(th > 0, xi / th, np.inf)
 
     # wall operator as a density-level matrix Hm: (gamma-) <- (gamma+)
     if isinstance(p.boundary, str) and p.boundary == "specular":
-        j = v_indices(-gamma_plus.points)  # Gamma+ cell i reflects into the velocity -v_i
+        j = vaxis.nearest(-vels)[0]  # Gamma+ cell i reflects into the velocity -v_i
         if np.any(np.abs(vels[j] + vels) > 1e-12):
             raise ModelError("specular walls need a sign-symmetric velocity list")
         Hm = np.zeros((n_v, n_v))
@@ -587,9 +589,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
         wtot = np.array([bw[wall_in == w].sum() for w in wall_in])
         Hm = np.where(wall_in[:, None] == wall_out[None, :], bw[None, :] / wtot[:, None], 0.0)
     else:
-        Hm = np.asarray(p.boundary, dtype=float)
-        if Hm.shape != (n_v, n_v):
-            raise ModelError("boundary matrix must map gamma+ cells to gamma- cells")
+        Hm = matrix("boundary", p.boundary)  # gamma+ cells to gamma- cells
     col_mass = (Hm * bw[:, None]).sum(axis=0) / bw
     if np.any(col_mass > 1.0 + 1e-9):
         raise ModelError("wall operator has norm > 1")
@@ -605,7 +605,7 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
 
     def sample(X, mode, rng):
         x = X[:, 0]
-        i = v_indices(X)
+        i = vaxis.nearest(X[:, 1])[0]
         at_wall = np.abs(x - wall_out[i]) < 1e-9
         if np.any(col_mass[i[at_wall]] < 1.0 - 1e-9):
             raise ModelError("sampling through a mass-losing wall is not supported")

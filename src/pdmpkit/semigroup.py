@@ -99,8 +99,7 @@ def inject(model: PdmpModel, vals: np.ndarray, influx: np.ndarray) -> None:
     """Add an inflow-boundary density to the cell values ``vals`` in place:
     the mass ``influx x w-`` of each incoming boundary cell goes to the first
     interior cell of its entry characteristic."""
-    mass = influx * model.gamma_minus.weights
-    np.add.at(vals, model.entry_cells, mass / model.grid.weights[model.entry_cells])
+    np.add.at(vals, model.entry_cells, influx * model.entry_scale)
 
 
 def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensity:
@@ -141,8 +140,6 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
         A.eliminate_zeros()
         ops[h] = A, q
     wplus = model.gamma_plus.weights
-    # inject's factor from the influx of each inflow-boundary cell to the density of its entry cell
-    entry, scale = model.entry_cells, model.gamma_minus.weights / cell_w[model.entry_cells]
     f = f0.values
     for h in steps:
         A, q = ops[h]
@@ -160,7 +157,7 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
         elif shape_mass > 0.0:
             flux *= exited / shape_mass
         vals += model.jump.p0(u, flux)
-        np.add.at(vals, entry, model.jump.p_partial(u, flux) * scale)
+        inject(model, vals, model.jump.p_partial(u, flux))
         f = np.maximum(vals, 0.0, out=vals)
     return GridDensity(model.grid, f)
 

@@ -145,6 +145,56 @@ class TestAxesAndGrid:
                                       block.interpolation_matrix(probes) @ values)
 
 
+class TestNearest:
+    """DiscreteAxis.nearest against the (points x values) distance table."""
+
+    @staticmethod
+    def _by_table(values, x):
+        d = np.abs(x[:, None] - values[None, :])
+        j = np.argmin(d, axis=1)
+        return j, d[np.arange(x.size), j] <= 1e-9 * max(1.0, float(np.abs(values).max()))
+
+    @pytest.mark.parametrize("values", [[0.0], [3.0, -1.0, 0.5, 2.0], [-40.0, 25.0, 7.5]],
+                             ids=["one value", "unsorted", "wide"])
+    def test_agrees_with_the_distance_table(self, values):
+        ax = DiscreteAxis(values, np.ones(len(values)))
+        tol = 1e-9 * max(1.0, float(np.abs(ax.values).max()))
+        v = np.sort(ax.values)
+        x = np.concatenate([ax.values, ax.values + 0.5 * tol, ax.values - 0.5 * tol,
+                            ax.values + 2.0 * tol, ax.values - 2.0 * tol,
+                            v[:-1] + 0.3 * np.diff(v), v[:-1] + 0.7 * np.diff(v),
+                            [v[0] - 10.0, v[-1] + 10.0]])
+        j, on = ax.nearest(x)
+        want_j, want_on = self._by_table(ax.values, x)
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_array_equal(on, want_on)
+        n = ax.n
+        assert on[:3 * n].all() and not on[3 * n:].any()
+
+    def test_random_points_on_a_large_axis(self):
+        rng = np.random.default_rng(3)
+        values = rng.permutation(np.linspace(-5.0, 5.0, 300))
+        x = rng.uniform(-6.0, 6.0, 2000)
+        x[:300] = values
+        j, on = DiscreteAxis(values, np.ones(300)).nearest(x)
+        want_j, want_on = self._by_table(values, x)
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_array_equal(on, want_on)
+
+    def test_memory_does_not_grow_with_points_times_values(self):
+        import tracemalloc
+
+        ax = DiscreteAxis(np.linspace(0.0, 1.0, 5000), np.ones(5000))
+        x = np.random.default_rng(0).random(5000)
+        tracemalloc.start()
+        try:
+            ax.nearest(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 5000 x 5000 distance table takes 200 MB
+
+
 class TestDerivedGeometry:
     def test_exp_growth_entry_cell_and_crossing_time(self):
         model = exponential_growth_model(n=30)

@@ -192,6 +192,17 @@ class TestKineticSlab:
         with pytest.raises(ModelError):
             build_kinetic_slab(KineticSlabParams(boundary=np.array([[0.0, 2.0], [2.0, 0.0]])))
 
+    @pytest.mark.parametrize("field", ["kernel", "boundary"])
+    @pytest.mark.parametrize("matrix", [[[0.5, -0.25], [0.25, 0.5]], np.full((2, 3), 0.5),
+                                        [[0.5, np.nan], [0.25, 0.5]], [[0.5, np.inf], [0.25, 0.5]],
+                                        [[0.5, 0.25], [0.25]]],
+                             ids=["negative", "2x3", "nan", "inf", "ragged"])
+    def test_malformed_velocity_matrix_rejected(self, field, matrix):
+        # refused at construction: a negative collision kernel would make
+        # evolve gain mass, and a non-finite one would fail only there
+        with pytest.raises(ModelError, match=f"{field} must be a finite, nonnegative"):
+            build_kinetic_slab(KineticSlabParams(n_x=20, **{field: matrix}))
+
     def test_collision_sampler_matches_density_operator(self):
         # histogram of sampled post-collision states against p0 applied to
         # the same single-cell collision intensity

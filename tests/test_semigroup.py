@@ -226,7 +226,6 @@ def _evolve_by_three_products(model, f, t, h):
     steps = [h] * n + ([t - n * h] if t - n * h > 1e-12 * max(t, 1.0) else [])
     S = _trace_matrix(model, -1.0)
     w, wplus = model.grid.weights, model.gamma_plus.weights
-    entry, scale = model.entry_cells, model.gamma_minus.weights / w[model.entry_cells]
     f = f.values
     for s in steps:
         T, q = _free_step(model, s)
@@ -239,7 +238,7 @@ def _evolve_by_three_products(model, f, t, h):
         elif shape_mass > 0.0:
             flux = flux * (exited / shape_mass)
         vals = moved + model.jump.p0(u, flux)
-        np.add.at(vals, entry, model.jump.p_partial(u, flux) * scale)
+        inject(model, vals, model.jump.p_partial(u, flux))
         f = np.maximum(vals, 0.0)
     return GridDensity(model.grid, f)
 
