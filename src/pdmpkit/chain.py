@@ -73,6 +73,7 @@ from .core import (
     hazard_crossing,
     orbit_hazard,
 )
+from .semigroup import trace_plus
 
 __all__ = [
     "apply_R0",
@@ -389,8 +390,6 @@ def project_invariant(model: PdmpModel, f_star: GridDensity) -> DensityPair:
     """Chain-invariant pair induced by a continuous-time invariant density:
     feed the jump intensity (rate mass plus outflow trace) of f_star through
     the jump law and renormalize by the total jump activity."""
-    from .semigroup import trace_plus  # deferred: semigroup imports this module
-
     h_int = model.rate_values() * f_star.values
     h_plus = trace_plus(model, f_star)
     c_star = float(h_int @ model.grid.weights) + float(h_plus @ model.gamma_plus.weights)

@@ -22,7 +22,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import chain, semigroup, verify
 from .core import DensityPair, GridDensity, PdmpError, StatePoint
 from .models import (
     CellCycleParams,
@@ -152,6 +151,8 @@ def _simulate(model, cfg, task, seed, subcommand):
 
 
 def _evolve(model, cfg, task, seed, subcommand):
+    from . import semigroup
+
     init = _initial_density(model, task)
     density = semigroup.evolve(model, init, *_times(task, 1.0, 1e-3))
     masses = {
@@ -164,6 +165,8 @@ def _evolve(model, cfg, task, seed, subcommand):
 
 def _invariant(model, cfg, task, seed, subcommand):
     """The chain's invariant pair (``embedded``) or its lift (``invariant``)."""
+    from . import chain
+
     result = chain.invariant_of_K(model, tol=_field(task, "tol", 1e-10),
                                   max_iters=_field(task, "max_iters", 500, int))
     residuals = {"chain_increment": result.increment, "iterations": result.iterations}
@@ -179,6 +182,8 @@ def _invariant(model, cfg, task, seed, subcommand):
 
 
 def _resolvent(model, cfg, task, seed, subcommand):
+    from . import semigroup
+
     init = _initial_density(model, task)
     lam = _field(task, "lam", 1.0)
     res = semigroup.resolvent_G(model, init, lam, tol=_field(task, "tol", 1e-10),
@@ -194,6 +199,8 @@ def _resolvent(model, cfg, task, seed, subcommand):
 
 def _verify(model, cfg, task, seed, subcommand):
     """Cross-checks; a residual above its tolerance gets an ``<key>_exceeds`` entry."""
+    from . import chain, verify
+
     init = _initial_density(model, task)
     pair = DensityPair(init, np.zeros(model.gamma_minus.n_cells))
     residuals = {}
@@ -216,7 +223,8 @@ def _verify(model, cfg, task, seed, subcommand):
     return None, masses, residuals
 
 
-# each handler returns (density or None, masses, residuals)
+# each handler returns (density or None, masses, residuals); each imports the operator
+# modules it uses, so that simulate loads no scipy
 _HANDLERS = {
     "simulate": _simulate,
     "evolve": _evolve,

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "PdmpError",
@@ -276,6 +278,8 @@ class ModeBlock:
 
 def _csr_rows(idx: np.ndarray, w: np.ndarray, n_cols: int) -> sparse.csr_matrix:
     """The CSR matrix whose row i holds the weights w[i] at the columns idx[i]."""
+    from scipy import sparse  # here, so that the Monte Carlo route loads no scipy
+
     n, k = w.shape
     return sparse.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n_cols))
 

@@ -515,6 +515,14 @@ def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
     vels = np.asarray(p.velocities, dtype=float)
     nu = np.asarray(p.nu_weights, dtype=float)
     n_v = vels.size
+    if vels.ndim != 1 or n_v == 0 or not np.all(np.isfinite(vels)):
+        raise ModelError(f"velocities must be a nonempty list of finite numbers, "
+                         f"got {p.velocities!r}")
+    if np.unique(vels).size != n_v:
+        raise ModelError(f"velocities must be distinct, got {p.velocities!r}")
+    if nu.shape != vels.shape or not np.all(np.isfinite(nu) & (nu > 0)):
+        raise ModelError(f"nu_weights must be {n_v} finite, positive numbers, one per velocity, "
+                         f"got {p.nu_weights!r}")
     if np.any(vels == 0):
         raise ModelError("zero velocities have no boundary cells; not supported")
     xaxis, vaxis = ContinuousAxis.uniform(0.0, L, p.n_x), DiscreteAxis(vels, nu)

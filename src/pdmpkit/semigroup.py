@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres
 
-from .chain import ChainOperator
 from .core import GridDensity, PdmpModel, _csr_rows, orbit_hazard
 
 __all__ = [
@@ -183,6 +181,11 @@ def resolvent_G(
     residual pair's mass is at most tol x mass(f)."""
     if lam <= 0:
         raise ValueError("the resolvent needs a positive discount")
+    # imported here: evolve needs no solver, and chain imports this module
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    from .chain import ChainOperator
+
     K = ChainOperator(model, lam)
     b = np.concatenate([f.values, np.zeros(model.gamma_minus.n_cells)])
     goal = tol * f.total_mass

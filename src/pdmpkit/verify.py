@@ -1,6 +1,8 @@
 """Independent oracles and identity checks tying the simulator, the density
 evolution and the embedded chain together.  The Monte Carlo sides run on the
-batched engine of :mod:`pdmpkit.simulate`."""
+batched engine of :mod:`pdmpkit.simulate`.  The checks import
+:mod:`pdmpkit.semigroup` where they use it, so the Monte Carlo ones load no
+scipy."""
 
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .core import (
     gauss3,
     l1_distance,
 )
-from .semigroup import _free_step, _trace_matrix, evolve, inject, trace_minus, trace_plus, transport_step
 from .simulate import _run_chunks, estimate_density, simulate_ensemble
 
 __all__ = [
@@ -37,6 +38,8 @@ def green_residual(model: PdmpModel, f: GridDensity, tmax_values: np.ndarray) ->
     image of f must equal inflow-trace mass minus outflow-trace mass.
     ``tmax_values`` is the analytic transport image of f at the cell centers
     (supplied by the caller; e.g. -(b f)' for a 1-d drift b)."""
+    from .semigroup import trace_minus, trace_plus
+
     interior = float(np.asarray(tmax_values) @ model.grid.weights)
     tm = trace_minus(model, f)
     tp = trace_plus(model, f)
@@ -98,6 +101,8 @@ def duhamel_oracle(
     0.02 (the returned tail estimate bounds the truncated mass).
     Returns (density, tail_probability).
     """
+    from .semigroup import _free_step, _trace_matrix, inject, transport_step
+
     if n_max not in (0, 1, 2):
         raise ValueError("n_max must be 0, 1, or 2")
     if not (isinstance(n_s, (int, np.integer)) and n_s > 0 and n_s % 2 == 0):
@@ -174,6 +179,8 @@ def mc_vs_pde(
     """Monte Carlo histogram vs. the splitting solver from the same initial
     density.  Returns the L1 distance on the model grid and the gap between
     the two mass defects."""
+    from .semigroup import evolve
+
     mc, censored = estimate_density(model, init, t, n_paths, seed)
     pde = evolve(model, init, t, dt)
     init_mass = init.total_mass

@@ -1,18 +1,13 @@
 """The batched hazard quadrature of ``orbit_hazard`` (models without a
 closed-form ``cumulative_hazard``): accuracy against exact hazards, loud
-failure where the hazard has no value, one rate call per pass, and the
-scipy modules that importing the package leaves unloaded."""
+failure where the hazard has no value, and one rate call per pass."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import pdmpkit
 from pdmpkit import build_drift_redistribute
 from pdmpkit.core import ConvergenceError, orbit_hazard
 
@@ -76,14 +71,3 @@ def test_one_rate_call_per_pass_over_all_rows():
     orbit_hazard(counted, x[:, None], 0, t)
     assert 1 <= len(calls) <= 20
 
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # a fresh interpreter, so that no other test has loaded these modules yet
-    src = os.path.dirname(os.path.dirname(pdmpkit.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    names = ("scipy.integrate", "scipy.optimize", "scipy.special")
-    code = f"import sys, pdmpkit, pdmpkit.cli; print(*[m for m in {names!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []

@@ -203,6 +203,22 @@ class TestKineticSlab:
         with pytest.raises(ModelError, match=f"{field} must be a finite, nonnegative"):
             build_kinetic_slab(KineticSlabParams(n_x=20, **{field: matrix}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("velocities", (np.nan, 1.0)),
+        ("velocities", (-1.0, np.inf)),
+        ("velocities", (1.0, 1.0)),
+        ("nu_weights", (0.0, 1.0)),
+        ("nu_weights", (1.0, -0.5)),
+        ("nu_weights", (np.nan, 1.0)),
+        ("nu_weights", (1.0, np.inf)),
+        ("nu_weights", (1.0, 1.0, 1.0)),
+    ], ids=["nan-velocity", "inf-velocity", "repeated-velocity", "zero-weight",
+            "negative-weight", "nan-weight", "inf-weight", "length-mismatch"])
+    def test_malformed_velocity_axis_rejected(self, field, value):
+        # refused at construction, naming the field, not by a grid class's raw ValueError
+        with pytest.raises(ModelError, match=field):
+            build_kinetic_slab(KineticSlabParams(n_x=20, **{field: value}))
+
     def test_collision_sampler_matches_density_operator(self):
         # histogram of sampled post-collision states against p0 applied to
         # the same single-cell collision intensity
