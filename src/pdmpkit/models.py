@@ -55,6 +55,21 @@ _P1_TOL, _P1_MAX_ITERS = 1e-12, 5000  # division-cycle power iteration: L1 incre
 _PHASE1_BLOCK = 8  # sizes per vectorized pass of the lift's mean_phase1
 
 
+def _require(ok, field: str, need: str, value) -> None:
+    """Refuse a malformed builder parameter with a ModelError that names it."""
+    if not ok:
+        raise ModelError(f"{field} must be {need}, got {value!r}")
+
+
+def _require_grid(counts: dict, lengths: dict) -> None:
+    """Cell counts must be integers >= 1, lengths finite and > 0."""
+    for field, n in counts.items():
+        _require(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1, field,
+                 "an integer >= 1", n)
+    for field, v in lengths.items():
+        _require(0 < v < math.inf, field, "finite and > 0", v)
+
+
 # ---------------------------------------------------------------------------
 # M1 / M2 / M3: one-dimensional drift-and-redistribute family
 
@@ -76,11 +91,10 @@ def build_drift_redistribute(
     """
     if variant not in ("m1", "m2", "m3"):
         raise ModelError(f"unknown variant {variant!r}")
-
-    if variant == "m2":
-        lo, hi = float(span[0]), float(span[1])
-    else:
-        lo, hi = 0.0, 1.0
+    _require_grid({"n_cells": n_cells}, {})
+    _require(0 <= q < math.inf, "q", "finite and >= 0", q)
+    lo, hi = (float(span[0]), float(span[1])) if variant == "m2" else (0.0, 1.0)
+    _require(-math.inf < lo < hi < math.inf, "span", "finite with lo < hi", span)
     axis = ContinuousAxis.uniform(lo, hi, n_cells)
     grid = InteriorGrid([ModeBlock(0, [axis])])
     drifting = variant in ("m1", "m2")
@@ -214,6 +228,7 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     """Hybrid model: mode 0 = phase I (size x, clock frozen at 0), mode 1 =
     phase II (size keeps growing, clock y runs to t_phase2, then the cell
     divides into two cells of half size back in phase I)."""
+    _require_grid({"n_x": p.n_x, "n_y": p.n_y}, {"x_max": p.x_max, "t_phase2": p.t_phase2})
     xaxis = p.size_axis()
     yaxis = ContinuousAxis.uniform(0.0, p.t_phase2, p.n_y)
     dx = xaxis.dx
@@ -277,16 +292,13 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
         return out, np.full(X.shape[0], 1 - mode, dtype=np.int64)
 
     s0 = grid.block_slice(0)
-    faces = xaxis.faces
+    pairs = np.arange(0, n_x, 2)  # the size axis starts at 0, so halving maps face 2k onto face k
 
     def p0(h_int, h_plus):
-        # division: boundary outflux at size u becomes newborns of size u/2
-        # with density factor 2; assembled through cumulative masses so the
-        # overlap with newborn cells is mass-exact.
-        cmass = _prefix(xaxis, h_plus * dx, lambda k, u: h_plus[k] * (u - faces[k]))
-        newborn_mass = cmass(2.0 * faces[1:]) - cmass(2.0 * faces[:-1])
+        # division: the outflux of parent cells 2k and 2k + 1 becomes newborns
+        # at half the size and twice the density, all in newborn cell k
         out = np.zeros(grid.n_cells)
-        out[s0] = newborn_mass / dx
+        out[s0][: pairs.size] = np.add.reduceat(h_plus, pairs)  # a view of phase I
         return out
 
     def p_partial(h_int, h_plus):
@@ -511,18 +523,16 @@ class KineticSlabParams:
 
 
 def build_kinetic_slab(p: KineticSlabParams = KineticSlabParams()) -> PdmpModel:
+    _require_grid({"n_x": p.n_x}, {"length": p.length})
     L = float(p.length)
     vels = np.asarray(p.velocities, dtype=float)
     nu = np.asarray(p.nu_weights, dtype=float)
     n_v = vels.size
-    if vels.ndim != 1 or n_v == 0 or not np.all(np.isfinite(vels)):
-        raise ModelError(f"velocities must be a nonempty list of finite numbers, "
-                         f"got {p.velocities!r}")
-    if np.unique(vels).size != n_v:
-        raise ModelError(f"velocities must be distinct, got {p.velocities!r}")
-    if nu.shape != vels.shape or not np.all(np.isfinite(nu) & (nu > 0)):
-        raise ModelError(f"nu_weights must be {n_v} finite, positive numbers, one per velocity, "
-                         f"got {p.nu_weights!r}")
+    _require(vels.ndim == 1 and n_v > 0 and np.all(np.isfinite(vels)), "velocities",
+             "a nonempty list of finite numbers", p.velocities)
+    _require(np.unique(vels).size == n_v, "velocities", "distinct", p.velocities)
+    _require(nu.shape == vels.shape and np.all(np.isfinite(nu) & (nu > 0)), "nu_weights",
+             f"{n_v} finite, positive numbers, one per velocity", p.nu_weights)
     if np.any(vels == 0):
         raise ModelError("zero velocities have no boundary cells; not supported")
     xaxis, vaxis = ContinuousAxis.uniform(0.0, L, p.n_x), DiscreteAxis(vels, nu)

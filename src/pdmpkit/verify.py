@@ -60,18 +60,19 @@ def change_of_variables_gap(
     lhs = 0.0
     for block in model.grid.blocks:
         lhs += float(np.asarray(f(block.centers, block.mode)) @ block.weights)
-    if model.gamma_plus.n_cells == 0:
+    plus = model.gamma_plus
+    if plus.n_cells == 0:
         raise PdmpError("model has no outgoing boundary")
-    rhs = 0.0
-    mode = model.gamma_plus.mode
-    for z, w in zip(model.gamma_plus.points, model.gamma_plus.weights):
-        tm = float(model.flow.hit_minus(z[None, :], mode)[0])
-        if not np.isfinite(tm):
-            raise PdmpError("backward lifetime is infinite; identity needs finite t-")
-        s = (np.arange(n_s) + 0.5) * (tm / n_s)
-        X = model.flow.phi(-s, np.broadcast_to(z, (n_s, z.size)), mode)
-        vals = np.asarray(f(X, mode)) * np.asarray(model.flow.jac(-s, X * 0 + z, mode))
-        rhs += w * float(vals.mean()) * tm
+    mode = plus.mode
+    tm = np.asarray(model.flow.hit_minus(plus.points, mode), dtype=float)
+    if not np.all(np.isfinite(tm)):
+        raise PdmpError("backward lifetime is infinite; identity needs finite t-")
+    # n_s midpoint nodes on each backward orbit, one row of nodes per Gamma+ point
+    s = ((np.arange(n_s) + 0.5) * (tm[:, None] / n_s)).ravel()
+    Z = np.repeat(plus.points, n_s, axis=0)
+    X = model.flow.phi(-s, Z, mode)
+    vals = np.asarray(f(X, mode)) * np.asarray(model.flow.jac(-s, Z, mode))
+    rhs = float(plus.weights * vals.reshape(plus.n_cells, n_s).mean(axis=1) @ tm)
     return lhs, rhs
 
 
@@ -101,12 +102,14 @@ def duhamel_oracle(
     0.02 (the returned tail estimate bounds the truncated mass).
     Returns (density, tail_probability).
     """
-    from .semigroup import _free_step, _trace_matrix, inject, transport_step
+    from .semigroup import _free_step, _trace_matrix, inject
 
     if n_max not in (0, 1, 2):
         raise ValueError("n_max must be 0, 1, or 2")
     if not (isinstance(n_s, (int, np.integer)) and n_s > 0 and n_s % 2 == 0):
         raise ValueError(f"n_s must be a positive even integer, got {n_s!r}")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t!r}")
     # estimated mass of the neglected terms: paths with more than n_max
     # jumps before t
     tail = simulate_ensemble(model, f0.normalized(), t, tail_paths, seed,
@@ -116,20 +119,22 @@ def duhamel_oracle(
             f"more-than-{n_max}-jump probability about {tail:.2e} at t={t}; "
             "the truncated expansion is not a valid oracle here"
         )
-    total = transport_step(model, f0, t).values.copy()
+    # every free step spans a whole number m of the ds intervals: one
+    # transport matrix per m, applied as often as needed.  The last node is t
+    # itself, so the 0-jump term is the lag-n_s push of f0.
+    s_nodes = np.linspace(0.0, t, n_s + 1)
+    steps = {m: _free_step(model, s_nodes[m])[0] for m in range(1 if n_max else n_s, n_s + 1)}
+    push = lambda g, m: g if m == 0 else np.maximum(steps[m] @ g, 0.0)
+    total = push(f0.values, n_s)
     if n_max >= 1:
         sw = _simpson_weights(n_s)
         ds = t / n_s
-        s_nodes = np.linspace(0.0, t, n_s + 1)
-        # every free step below spans a whole number m of the ds intervals:
-        # one transport matrix per m, applied as often as needed
-        steps = [None] + [_free_step(model, s)[0] for s in s_nodes[1:]]
-        push = lambda g, m: g if m == 0 else np.maximum(steps[m] @ g, 0.0)
         trace = _trace_matrix(model, -1.0)
+        rate = model.rate_values()
 
         def jump_density(g):
             """Post-jump density of the jump intensity of g, influx folded onto the entry cells."""
-            jumped = model.post_jump(model.rate_values() * g, np.maximum(trace @ g, 0.0))
+            jumped = model.post_jump(rate * g, np.maximum(trace @ g, 0.0))
             vals = jumped.interior.values.copy()
             inject(model, vals, jumped.boundary)
             return vals

@@ -25,6 +25,19 @@ class TestDriftRedistribute:
         with pytest.raises(ModelError):
             build_drift_redistribute("m9")
 
+    @pytest.mark.parametrize("variant, field, value", [
+        ("m3", "q", -1.0), ("m3", "q", np.nan), ("m3", "q", np.inf),
+        ("m1", "n_cells", 0), ("m1", "n_cells", -3), ("m1", "n_cells", 2.0),
+        ("m2", "span", (5.0, 0.0)), ("m2", "span", (1.0, 1.0)), ("m2", "span", (0.0, np.inf)),
+        ("m2", "span", (np.nan, 1.0)),
+    ], ids=["negative-q", "nan-q", "inf-q", "zero-cells", "negative-cells", "float-cells",
+            "reversed-span", "empty-span", "inf-span", "nan-span"])
+    def test_malformed_parameters_rejected(self, variant, field, value):
+        # refused at construction, naming the field, not by a grid class's
+        # raw ValueError or by a later route
+        with pytest.raises(ModelError, match=field):
+            build_drift_redistribute(variant, **{field: value})
+
     def test_parameters_recorded(self):
         m = build_drift_redistribute("m3", n_cells=64, q=2.5)
         assert m.params["q"] == 2.5
@@ -90,6 +103,15 @@ def model():
 
 class TestCellCycleModel:
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_x", 0), ("n_x", 4.0), ("n_y", 0), ("n_y", True), ("x_max", -1.0), ("x_max", 0.0),
+        ("x_max", np.inf), ("t_phase2", 0.0), ("t_phase2", -0.5), ("t_phase2", np.nan),
+    ], ids=["zero-sizes", "float-sizes", "zero-clocks", "bool-clocks", "negative-x-max",
+            "zero-x-max", "inf-x-max", "zero-phase2", "negative-phase2", "nan-phase2"])
+    def test_malformed_parameters_rejected(self, field, value):
+        with pytest.raises(ModelError, match=field):
+            build_cell_cycle(CellCycleParams(**{"n_x": 20, "n_y": 4, field: value}))
+
     def test_phase_two_lifetime_is_fixed(self, model):
         # any state entering phase II leaves it exactly t_phase2 later
         for x in (0.8, 2.0, 5.0):
@@ -107,6 +129,20 @@ class TestCellCycleModel:
         X, modes = model.jump.sample(np.array([[3.0, 1.0]]), 1, rng)
         assert modes[0] == 0
         assert X[0, 0] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("n_x", [7, 10, 800])
+    def test_division_is_the_pair_sum_of_parent_cells(self, n_x):
+        # newborn cell k collects parent cells 2k and 2k + 1, so cells from
+        # ceil(n_x / 2) on stay empty; against the cumulative-mass formula,
+        # whose own cancellation error reaches about 7e-14 max at n_x = 800
+        m = build_cell_cycle(CellCycleParams(n_x=n_x, x_max=20.0, n_y=2))
+        atol = 1e-14 if n_x < 100 else 2e-13
+        for seed in range(20):
+            h_plus = np.random.default_rng(seed).random(n_x)
+            got = m.jump.p0(np.zeros(m.grid.n_cells), h_plus)
+            want = _division_p0(m, h_plus)
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol * want.max())
+            assert not got[(n_x + 1) // 2:].any()
 
     def test_phase_two_backward_orbit_stops_at_size_zero(self):
         # toy growth G(x) = x, no hazard in phase II: at discount 0 the R0 row
@@ -219,6 +255,15 @@ class TestKineticSlab:
         with pytest.raises(ModelError, match=field):
             build_kinetic_slab(KineticSlabParams(n_x=20, **{field: value}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_x", 0), ("n_x", 2.5), ("length", -1.0), ("length", 0.0), ("length", np.nan),
+        ("length", np.inf),
+    ], ids=["zero-cells", "fractional-cells", "negative-length", "zero-length", "nan-length",
+            "inf-length"])
+    def test_malformed_grid_rejected(self, field, value):
+        with pytest.raises(ModelError, match=field):
+            build_kinetic_slab(KineticSlabParams(**{"n_x": 20, field: value}))
+
     def test_collision_sampler_matches_density_operator(self):
         # histogram of sampled post-collision states against p0 applied to
         # the same single-cell collision intensity
@@ -299,6 +344,8 @@ _KERNELS = {
 def _jump_law_models():
     yield "m1", build_drift_redistribute("m1", n_cells=30)
     yield "m3", build_drift_redistribute("m3", n_cells=20, q=1.5)
+    for n_x in (1, 2, 7, 10):
+        yield f"cell-cycle-{n_x}", build_cell_cycle(CellCycleParams(n_x=n_x, x_max=3.0, n_y=3))
     for wall, boundary in _WALLS.items():
         for kern, kernel in _KERNELS.items():
             yield f"slab-{wall}-{kern}", build_kinetic_slab(KineticSlabParams(
@@ -345,9 +392,28 @@ def _slab_p_partial(p, h_plus):
     return out
 
 
+def _division_p0(model, h_plus):
+    """Division through cumulative masses: an outflux density h at size u
+    re-enters phase I at size u/2 with density 2h, so newborn cell k gets the
+    integral of the outflux over [2 faces[k], 2 faces[k+1]] ∩ [0, x_max], per dx."""
+    ax = model.params["cc"].size_axis()
+
+    def cumulative(u):  # the outflux mass over [0, u], u clipped to the axis
+        u = min(max(u, 0.0), ax.hi)
+        k = min(int(u / ax.dx), ax.n - 1)
+        return ax.dx * h_plus[:k].sum() + h_plus[k] * (u - ax.faces[k])
+
+    out = np.zeros(model.grid.n_cells)
+    for k in range(ax.n):
+        out[k] = (cumulative(2 * ax.faces[k + 1]) - cumulative(2 * ax.faces[k])) / ax.dx
+    return out
+
+
 def _defining_p0(model, h_int, h_plus):
     if model.name == "kinetic_slab":
         return _slab_p0(model.params["slab"], h_int)
+    if model.name == "cell_cycle":
+        return _division_p0(model, h_plus)
     # uniform restart on (0, 1): all jumped mass, spread over the unit interval
     mass = sum(h_int * model.grid.weights) + sum(h_plus * model.gamma_plus.weights)
     return np.full(model.grid.n_cells, mass)
@@ -356,6 +422,8 @@ def _defining_p0(model, h_int, h_plus):
 def _defining_p_partial(model, h_int, h_plus):
     if model.name == "kinetic_slab":
         return _slab_p_partial(model.params["slab"], h_plus)
+    if model.name == "cell_cycle":  # phase-I entry keeps the size: the phase-I cells, copied
+        return h_int[: model.gamma_minus.n_cells].copy()
     return np.zeros(model.gamma_minus.n_cells)
 
 

@@ -121,6 +121,15 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="positive even integer"):
             duhamel_oracle(m1, GridDensity.uniform(m1.grid), 0.2, n_s=n_s)
 
+    @pytest.mark.parametrize("t", [0.0, -0.1])
+    def test_nonpositive_horizon_fails_before_any_path_is_drawn(self, m1, monkeypatch, t):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths were drawn before t was checked")
+
+        monkeypatch.setattr(verify, "simulate_ensemble", no_paths)
+        with pytest.raises(ValueError, match="t must be positive"):
+            duhamel_oracle(m1, GridDensity.uniform(m1.grid), t)
+
 
 class TestRestriction:
     def test_mass_conserved(self, m1):
