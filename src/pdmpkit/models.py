@@ -215,6 +215,10 @@ class CellCycleParams:
     hazard_anti: Callable = _ident       # Q
     hazard_anti_inv: Optional[Callable] = _ident
 
+    def __post_init__(self):  # the one check for the builder, P1 and the lift alike
+        _require_grid({"n_x": self.n_x, "n_y": self.n_y},
+                      {"x_max": self.x_max, "t_phase2": self.t_phase2})
+
     def size_axis(self) -> ContinuousAxis:
         return ContinuousAxis.uniform(0.0, self.x_max, self.n_x)
 
@@ -228,7 +232,6 @@ def build_cell_cycle(p: CellCycleParams = CellCycleParams()) -> PdmpModel:
     """Hybrid model: mode 0 = phase I (size x, clock frozen at 0), mode 1 =
     phase II (size keeps growing, clock y runs to t_phase2, then the cell
     divides into two cells of half size back in phase I)."""
-    _require_grid({"n_x": p.n_x, "n_y": p.n_y}, {"x_max": p.x_max, "t_phase2": p.t_phase2})
     xaxis = p.size_axis()
     yaxis = ContinuousAxis.uniform(0.0, p.t_phase2, p.n_y)
     dx = xaxis.dx
@@ -362,10 +365,18 @@ def _prefix(axis: ContinuousAxis, cells: np.ndarray, partial: Callable) -> Calla
     return integral
 
 
+def _newborn_density(p: CellCycleParams, f1) -> np.ndarray:
+    """f1 as a float array, refused unless it is n_x finite cell values."""
+    f1 = np.asarray(f1, dtype=float)
+    _require(f1.shape == (p.n_x,), "f1", f"of shape ({p.n_x},)", f1.shape)
+    _require(np.isfinite(f1).all(), "f1", "finite", f1[~np.isfinite(f1)].tolist()[:1])
+    return f1
+
+
 def _cycle_prefixes(ax: ContinuousAxis, Q: Callable, f1: np.ndarray):
     """(E, C) on the size axis with E(u) = int_0^u e^Q f1 and C(u) =
     int_0^u f1, both exact for the piecewise-constant f1."""
-    faces, f1 = ax.faces, np.asarray(f1, dtype=float)
+    faces = ax.faces
     expq = lambda t: np.exp(np.asarray(Q(t), dtype=float))
     E = _prefix(ax, f1 * _gauss_partial(expq, faces[:-1], faces[1:]),
                 lambda k, u: f1[k] * _gauss_partial(expq, faces[k], u))
@@ -381,7 +392,7 @@ def p1_apply(p: CellCycleParams, f1: np.ndarray) -> np.ndarray:
     mass of a compactly supported input is preserved to roundoff.
     """
     ax = p.size_axis()
-    E, C = _cycle_prefixes(ax, p.hazard_anti, f1)
+    E, C = _cycle_prefixes(ax, p.hazard_anti, _newborn_density(p, f1))
     lam_f = p.newborn_size(ax.faces)
     pos = lam_f > 0
     T1 = np.zeros(lam_f.size)
@@ -434,9 +445,15 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
     Returns (f_bar: GridDensity (unnormalized), integrable: bool,
     mean_phase1: callable z -> expected phase-I duration started at size z).
     For the toy parameters the total mass is 2 x the mass of f1.
+
+    The phase-II corner integrals run one y-face at a time, so memory grows
+    with n_x and not with n_x * n_y.  ``model``, when given, must be built
+    from ``p``; ``f1`` must hold n_x finite cell values (else ModelError).
     """
+    f1 = _newborn_density(p, f1)
     if model is None:
         model = build_cell_cycle(p)
+    _require(model.params.get("cc") == p, "model", "built from p", model.params.get("cc"))
     ax, Q = p.size_axis(), p.hazard_anti
     E, C = _cycle_prefixes(ax, Q, f1)
     faces, dx = ax.faces, ax.dx
@@ -466,7 +483,7 @@ def cell_cycle_lift(p: CellCycleParams, f1: np.ndarray, model: Optional[PdmpMode
     arg = np.asarray(G(faces), dtype=float)[:, None] - yfaces[None, :]
     glo = float(np.asarray(G(0.0)))
     W = np.where(arg > glo, np.asarray(Gi(np.maximum(arg, glo)), dtype=float), 0.0)
-    HW = H(W.ravel()).reshape(W.shape)
+    HW = np.column_stack([H(w) for w in W.T])
     cell_mass = HW[1:, :-1] - HW[1:, 1:] - HW[:-1, :-1] + HW[:-1, 1:]
     dy = p.t_phase2 / p.n_y
     values[model.grid.block_slice(1)] = np.maximum(cell_mass.ravel() / (dx * dy), 0.0)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +62,13 @@ class TestDriftRedistribute:
             assert 0.0 <= X[0, 0] <= 1.0
 
 
+_MALFORMED_CYCLE = pytest.mark.parametrize("field, value", [
+    ("n_x", 0), ("n_x", 4.0), ("n_y", 0), ("n_y", True), ("x_max", -1.0), ("x_max", 0.0),
+    ("x_max", np.inf), ("t_phase2", 0.0), ("t_phase2", -0.5), ("t_phase2", np.nan),
+], ids=["zero-sizes", "float-sizes", "zero-clocks", "bool-clocks", "negative-x-max",
+        "zero-x-max", "inf-x-max", "zero-phase2", "negative-phase2", "nan-phase2"])
+
+
 class TestCellCycleDivision:
     def test_division_operator_closed_form(self):
         # toy rates: P1 f1(x) = 2 e^{1-2x} int_0^{2x-1} e^z f1(z) dz; with
@@ -89,6 +98,24 @@ class TestCellCycleDivision:
         assert f1.sum() * dx == pytest.approx(1.0, abs=1e-10)
         assert uniqueness > 1.0
 
+    @_MALFORMED_CYCLE
+    @pytest.mark.parametrize("oracle", [p1_invariant, lambda p: p1_apply(p, np.ones(20))],
+                             ids=["p1_invariant", "p1_apply"])
+    def test_malformed_parameters_rejected(self, oracle, field, value):
+        # the parameters refuse themselves, so P1 refuses what the builder
+        # refuses, not with a grid class's raw ValueError or a lost-mass error
+        with pytest.raises(ModelError, match=field):
+            oracle(CellCycleParams(**{"n_x": 20, "n_y": 4, field: value}))
+
+    @pytest.mark.parametrize("f1, need", [
+        (np.ones(19), r"f1 must be of shape \(20,\), got \(19,\)"),
+        (np.ones((20, 1)), r"f1 must be of shape \(20,\), got \(20, 1\)"),
+        (np.r_[np.ones(19), np.nan], r"f1 must be finite, got \[nan\]"),
+    ], ids=["short", "column", "nan"])
+    def test_malformed_newborn_density_rejected(self, f1, need):
+        with pytest.raises(ModelError, match=need):
+            p1_apply(CellCycleParams(n_x=20, n_y=4), f1)
+
     def test_newborn_size_map(self):
         p = CellCycleParams()
         # toy instance: a newborn of size x came from a mother entering
@@ -103,11 +130,7 @@ def model():
 
 class TestCellCycleModel:
 
-    @pytest.mark.parametrize("field, value", [
-        ("n_x", 0), ("n_x", 4.0), ("n_y", 0), ("n_y", True), ("x_max", -1.0), ("x_max", 0.0),
-        ("x_max", np.inf), ("t_phase2", 0.0), ("t_phase2", -0.5), ("t_phase2", np.nan),
-    ], ids=["zero-sizes", "float-sizes", "zero-clocks", "bool-clocks", "negative-x-max",
-            "zero-x-max", "inf-x-max", "zero-phase2", "negative-phase2", "nan-phase2"])
+    @_MALFORMED_CYCLE
     def test_malformed_parameters_rejected(self, field, value):
         with pytest.raises(ModelError, match=field):
             build_cell_cycle(CellCycleParams(**{"n_x": 20, "n_y": 4, field: value}))
@@ -196,6 +219,47 @@ class TestCellCycleLift:
         sl0 = model.grid.block_slice(0)
         mass0 = float(fbar.values[sl0] @ w[sl0])
         assert mass0 == pytest.approx(0.5 * fbar.total_mass, rel=1e-6)
+
+    @pytest.mark.parametrize("other", [{"x_max": 10.0}, {"n_x": 80}], ids=["x-max", "n-x"])
+    def test_model_from_other_parameters_rejected(self, other):
+        # a model of x_max 10 under parameters of x_max 20 gave a lift of
+        # mass 1.0 instead of 2.0 with no error, one of n_x 80 a broadcast error
+        p = CellCycleParams(n_x=40, x_max=20.0, n_y=4)
+        model = build_cell_cycle(CellCycleParams(**{"n_x": 40, "x_max": 20.0, "n_y": 4, **other}))
+        with pytest.raises(ModelError, match="model must be built from p"):
+            cell_cycle_lift(p, np.full(p.n_x, 1.0 / p.x_max), model)
+
+    def test_newborn_density_of_another_length_rejected(self):
+        p = CellCycleParams(n_x=40, x_max=20.0, n_y=4)
+        with pytest.raises(ModelError, match=r"f1 must be of shape \(40,\), got \(39,\)"):
+            cell_cycle_lift(p, np.full(p.n_x - 1, 1.0 / p.x_max), build_cell_cycle(p))
+
+    # sha256 of the lift's cell values from p1_invariant on x_max = 20, taken
+    # when the phase-II corner integrals still ran over all corners at once
+    @pytest.mark.parametrize("n_x, n_y, want", [
+        (200, 20, "bdf202fdb029f620755b11d72e56c984a24ae10ad89d87077d2d2c8670d5f553"),
+        (400, 40, "903df99a4bcca1e8707a2a33fad869fb127ba9cd23fe56a6b80f9023ca47d6d8"),
+        (2000, 4, "593b4efdd2b1ef276bfd0b89edbca431eb1dd2510ef4cc898e369141e4300356"),
+        (50, 7, "de3341d1082a9627e018401df707e1f4a57c57d2ae4ff6d3179b15308ac6deb2"),
+    ])
+    def test_lift_keeps_its_bytes(self, n_x, n_y, want):
+        p = CellCycleParams(n_x=n_x, x_max=20.0, n_y=n_y)
+        fbar, _, _ = cell_cycle_lift(p, p1_invariant(p)[0])
+        assert hashlib.sha256(fbar.values.tobytes()).hexdigest() == want
+
+    def test_lift_working_set_does_not_grow_with_the_clock_axis(self):
+        # the corner integrals run one y-face at a time: at 400x40 the traced
+        # peak of one lift was 30 MB over all corners at once, about 1 MB
+        # face by face; Python-visible allocations of this process only
+        p = CellCycleParams(n_x=400, x_max=20.0, n_y=40)
+        f1, model = p1_invariant(p)[0], build_cell_cycle(p)
+        tracemalloc.start()
+        try:
+            cell_cycle_lift(p, f1, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestKineticSlab:
