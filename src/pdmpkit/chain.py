@@ -262,8 +262,8 @@ class ChainOperator(LinearOperator):
     them, ``applications`` counts the applications of K."""
 
     def __init__(self, model: PdmpModel, lam: float):
-        if lam < 0:
-            raise ValueError("discount must be nonnegative")
+        if not 0 <= lam < np.inf:  # NaN too, before it keys a cache entry
+            raise ValueError(f"discount must be nonnegative and finite, got {lam}")
         self.model, self.factors, self.theta = model, _matrices(model, lam), model.rate_values()
         self.weights = np.concatenate([model.grid.weights, model.gamma_minus.weights])
         self.applications = 0

@@ -51,9 +51,12 @@ def _field(node: dict, key: str, default, kind=float, low=0):
     value = node.get(key, default)
     try:
         out = kind(value)
+        # int() reads true as 1 and cuts 2.5 to 2: an int entry must be an integer
+        if kind is int and (isinstance(value, bool) or (isinstance(value, float) and out != value)):
+            raise ValueError
         if low is None or out > low:
             return out
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"bad config entry {key!r}: {value!r}")
 

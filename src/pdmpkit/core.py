@@ -67,7 +67,7 @@ _LK_WEIGHTS = np.array([77.0, 432.0, 625.0, 672.0, 625.0, 432.0, 77.0]) / 1470.0
 _LK_ERROR = _LK_WEIGHTS - np.array([1.0, 0.0, 5.0, 0.0, 5.0, 0.0, 1.0]) / 6.0
 _HAZARD_RTOL, _HAZARD_ATOL = 1e-10, 1e-12
 _HAZARD_INTERVALS = 200  # per row, before ConvergenceError
-_FACE_TOL = 1e-9  # a face time must put the orbit on its face to this many cell widths
+_FACE_TOL = 1e-9  # cell widths: how far a face time's orbit may miss its face, or a face its ramp
 
 
 class PdmpError(Exception):
@@ -129,6 +129,11 @@ class ContinuousAxis:
         object.__setattr__(self, "faces", np.asarray(self.faces, dtype=float))
         if self.faces.ndim != 1 or self.faces.size < 2:
             raise ValueError("faces must be a 1-d array with at least two entries")
+        # cells are located and weighed by dx alone: the faces must be a uniform, finite ramp
+        dx = self.dx
+        if not (np.isfinite(self.faces).all() and 0 < dx
+                and np.all(np.abs(np.diff(self.faces) - dx) <= _FACE_TOL * dx)):
+            raise ValueError(f"faces must be finite, increasing and equally spaced: {self.faces}")
 
     @property
     def n(self) -> int:
@@ -167,12 +172,16 @@ class DiscreteAxis:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.values.shape != self.weights.shape:
             raise ValueError("values and weights must have equal shape")
-        if np.any(self.weights <= 0):
-            raise ValueError("discrete axis weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("discrete axis weights must be finite and positive")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("discrete axis values must be finite")
         order = np.argsort(self.values, kind="stable")  # for nearest: sorted midpoints, roundoff
         v = self.values[order]
-        object.__setattr__(self, "_search", (order, 0.5 * (v[1:] + v[:-1]),
-                                             1e-9 * max(1.0, float(np.max(np.abs(v), initial=0.0)))))
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(v), initial=0.0)))
+        if np.any(np.diff(v) <= tol):  # nearest could never tell such values apart
+            raise ValueError(f"discrete axis values must be distinct beyond {tol:.1e}")
+        object.__setattr__(self, "_search", (order, 0.5 * (v[1:] + v[:-1]), tol))
 
     @property
     def n(self) -> int:
@@ -266,15 +275,6 @@ class ModeBlock:
         w[~valid] = 0.0
         return idx, w
 
-    def interpolation_matrix(self, X: np.ndarray) -> sparse.csr_matrix:
-        """Sparse interpolation rows at the points X: multilinear along continuous axes,
-        exact on discrete ones; zero beyond a ghost half-cell or off a discrete value."""
-        return _csr_rows(*self.corners(X), self.n_cells)
-
-    def interpolate(self, values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The values interpolated at the points X."""
-        return self.interpolation_matrix(X) @ values
-
 
 def _csr_rows(idx: np.ndarray, w: np.ndarray, n_cols: int) -> sparse.csr_matrix:
     """The CSR matrix whose row i holds the weights w[i] at the columns idx[i]."""
@@ -319,11 +319,11 @@ class InteriorGrid:
         return out
 
     def interpolate(self, values: np.ndarray, X: np.ndarray, mode: int) -> np.ndarray:
+        """The cell values interpolated at the points X of ``mode``: multilinear along
+        continuous axes, exact on discrete ones; zero beyond a ghost half-cell or off a
+        discrete value."""
         b = self.block(mode)
-        return b.interpolate(values[self.block_slice(mode)], X)
-
-    def centers(self, mode: int) -> np.ndarray:
-        return self.block(mode).centers
+        return _csr_rows(*b.corners(X), b.n_cells) @ values[self.block_slice(mode)]
 
 
 @dataclass(frozen=True)
@@ -364,10 +364,6 @@ class BoundaryGrid:
     def n_cells(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
-
     @classmethod
     def empty(cls, dim: int = 1, mode: int = 0) -> "BoundaryGrid":
         return cls(mode=mode, points=np.zeros((0, dim)), weights=np.zeros(0))
@@ -400,10 +396,6 @@ class GridDensity:
         if m <= 0:
             raise ValueError("cannot normalize a zero density")
         return GridDensity(self.grid, self.values / m)
-
-    @classmethod
-    def zero(cls, grid: InteriorGrid) -> "GridDensity":
-        return cls(grid, np.zeros(grid.n_cells))
 
     @classmethod
     def uniform(cls, grid: InteriorGrid) -> "GridDensity":
@@ -547,7 +539,8 @@ class PdmpModel:
             cells = self.grid.locate(boundary.points, boundary.mode)
             if np.any(cells < 0):
                 raise ModelError(f"a gamma_{side} point of model {self.name!r} lies off the grid")
-            centers = self.grid.centers(boundary.mode)[cells - self.grid.offsets[boundary.mode]]
+            b = self.grid.block(boundary.mode)
+            centers = b.centers[cells - self.grid.offsets[boundary.mode]]
             step = 2.0 * np.asarray(hit(centers, boundary.mode), dtype=float)
             if not np.all((step > 0) & np.isfinite(step)):
                 raise ModelError(f"gamma_{side} trace steps of {self.name!r} must be positive and finite")
@@ -596,8 +589,22 @@ def _check_point(model: PdmpModel, x: StatePoint) -> None:
         )
 
 
+def _flow_step(model: PdmpModel, X: np.ndarray, mode: int, t, th) -> np.ndarray:
+    """phi_t of the rows of X, all in ``mode``, for signed times t (a float or one
+    per row) with |t| <= th, the time to the boundary that t heads for.  A row that
+    stops short of that boundary and leaves the chart raises :class:`ModelError`."""
+    Y = model.flow.phi(t, X, mode)
+    inside = (np.abs(t) >= th) | model.in_state_space(Y, mode)
+    if not np.all(inside):
+        i = np.argmin(inside)
+        raise ModelError(f"flow of {model.name!r} left the chart from {StatePoint(X[i], mode)} "
+                         f"within t={np.broadcast_to(t, inside.shape)[i]}")
+    return Y
+
+
 def advance(model: PdmpModel, x: StatePoint, t: float):
-    """Flow the point for a signed time.
+    """Flow the point for a signed time: the one-row flow step of the
+    Monte Carlo engine.
 
     Returns ``phi_t(x)`` when the whole segment stays in the interior, a
     ``(StatePoint, hit_sign)`` tuple clamped at the boundary when ``|t|``
@@ -607,23 +614,12 @@ def advance(model: PdmpModel, x: StatePoint, t: float):
     if not np.isfinite(t):
         raise ValueError("advance requires a finite time")
     _check_point(model, x)
-    X = x.coords[None, :]
     if t == 0.0:
         return StatePoint(x.coords.copy(), x.mode)
-    if t > 0:
-        th = float(model.flow.hit_plus(X, x.mode)[0])
-        if t >= th:
-            z = model.flow.phi(th, X, x.mode)[0]
-            return StatePoint(z, x.mode), "plus"
-    else:
-        th = float(model.flow.hit_minus(X, x.mode)[0])
-        if -t >= th:
-            z = model.flow.phi(-th, X, x.mode)[0]
-            return StatePoint(z, x.mode), "minus"
-    P = model.flow.phi(float(t), X, x.mode)
-    if not model.in_state_space(P, x.mode)[0]:
-        raise ModelError(f"flow of {model.name!r} left the chart from {x} within t={t}")
-    return StatePoint(P[0], x.mode)
+    X = x.coords[None, :]
+    th = float((model.flow.hit_plus if t > 0 else model.flow.hit_minus)(X, x.mode)[0])
+    y = StatePoint(_flow_step(model, X, x.mode, math.copysign(min(abs(t), th), t), th)[0], x.mode)
+    return (y, "plus" if t > 0 else "minus") if abs(t) >= th else y
 
 
 def cocycle(model: PdmpModel, x: StatePoint, t: float) -> float:

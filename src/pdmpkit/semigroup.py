@@ -55,8 +55,8 @@ def _free_step(model: PdmpModel, h: float):
 def transport_step(model: PdmpModel, f: GridDensity, dt: float) -> GridDensity:
     """One exact step of the free semigroup (transport with absorption at
     the outgoing boundary and exponential survival against the jump rate)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return GridDensity(model.grid, np.maximum(_free_step(model, dt)[0] @ f.values, 0.0))
 
 
@@ -113,8 +113,8 @@ def evolve(model: PdmpModel, f0: GridDensity, t: float, dt: float) -> GridDensit
     density, the trapezoid's two ends and the mass that left.  T has no
     negative entry and the density stays nonnegative, so T f needs no clamp
     and the trace after transport is (S T) f."""
-    if not (0 < dt <= t):
-        raise ValueError("need 0 < dt <= t")
+    if not (0 < dt <= t < np.inf):
+        raise ValueError(f"need 0 < dt <= t < inf, got dt={dt}, t={t}")
     if dt > model.min_crossing_time * (1 + 1e-12):
         warnings.warn(
             f"dt={dt} exceeds the minimum cell crossing time "
@@ -179,8 +179,8 @@ def resolvent_G(
     R0 sum_n K^n (f, 0) = R0 p with (I - K) p = (f, 0), p by GMRES in at most
     max_terms iterations (one application of K each).  Converged means the
     residual pair's mass is at most tol x mass(f)."""
-    if lam <= 0:
-        raise ValueError("the resolvent needs a positive discount")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"the resolvent needs a positive, finite discount, got {lam}")
     # imported here: evolve needs no solver, and chain imports this module
     from scipy.sparse.linalg import LinearOperator, gmres
 

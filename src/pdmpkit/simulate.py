@@ -29,6 +29,7 @@ from .core import (
     PdmpModel,
     StatePoint,
     _check_point,
+    _flow_step,
     hazard_crossing,
 )
 
@@ -286,12 +287,7 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             # one flow step per path, to its jump or to t; rows clamped at Gamma+ are not checked
             dt = np.where(go, sigma, np.minimum(t - t0, tp))
             dt[dt == math.inf] = 0.0  # no event and t = inf: nowhere to flow to
-            Y = model.flow.phi(dt, Xm, m)
-            inside = (dt >= tp) | model.in_state_space(Y, m)
-            if not np.all(inside):
-                raise ModelError(f"flow of {model.name!r} left the chart in mode {m} before "
-                                 f"t={(t0 + dt)[np.argmin(inside)]}")
-            X[rows] = Y
+            X[rows] = Y = _flow_step(model, Xm, m, dt, tp)
             if go.any():
                 r, pre = rows[go], Y[go]
                 X[r], modes[r] = _sample_jumps(model, pre, m, _chunk_parts(r, rngs))

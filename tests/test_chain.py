@@ -38,6 +38,11 @@ def uniform_pair(model):
     return DensityPair(GridDensity.uniform(model.grid), np.zeros(model.gamma_minus.n_cells))
 
 
+def zero_pair(model):
+    return DensityPair(GridDensity(model.grid, np.zeros(model.grid.n_cells)),
+                       np.zeros(model.gamma_minus.n_cells))
+
+
 def r0_blocks(model, lam):
     """The four R0 blocks (interior and outgoing-boundary rows, interior and
     inflow-boundary columns) as dense arrays, one apply_R0 per unit vector."""
@@ -76,7 +81,7 @@ class TestR0:
     def test_m1_boundary_term_propagates_inward(self):
         # a unit density on Gamma- adds the constant 1 along every orbit
         m1 = build_drift_redistribute("m1", n_cells=200)
-        pair = DensityPair(GridDensity.zero(m1.grid), np.ones(1))
+        pair = DensityPair(zero_pair(m1).interior, np.ones(1))
         r, outflux = apply_R0(m1, pair, 0.0)
         np.testing.assert_allclose(r.values, 1.0, rtol=1e-12)
         assert outflux[0] == pytest.approx(1.0, rel=1e-10)
@@ -101,6 +106,24 @@ class TestR0:
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
         assert len(chain._CACHE[m1]) <= 8
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_discount_is_refused_before_it_keys_the_cache(self, lam):
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="discount must be nonnegative and finite"):
+                apply_R0(m1, uniform_pair(m1), lam)
+        assert m1 not in chain._CACHE
+
+    def test_negative_discount_is_refused(self):
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        with pytest.raises(ValueError, match="discount must be nonnegative"):
+            apply_K(m1, uniform_pair(m1), -1.0)
+
+    def test_model_without_backward_orbits_is_refused(self):
+        m1 = dataclasses.replace(build_drift_redistribute("m1", n_cells=50), backward_orbit=None)
+        with pytest.raises(DivergentIntegralError, match="supplies no backward orbits"):
+            apply_R0(m1, uniform_pair(m1))
 
     def test_no_inflow_boundary_gives_empty_boundary_blocks(self):
         m3 = build_drift_redistribute("m3", n_cells=30, q=2.0)
@@ -134,7 +157,7 @@ class TestR0Builder:
         lo = 0.5
         m = exponential_growth_model(lo=lo, n=8)
         x = m.grid.blocks[0].centers[:, 0]
-        r, _ = apply_R0(m, DensityPair(GridDensity.zero(m.grid), np.ones(1)), 0.0)
+        r, _ = apply_R0(m, DensityPair(zero_pair(m).interior, np.ones(1)), 0.0)
         np.testing.assert_allclose(r.values, np.exp(-(x**2 - lo**2) / 2) * lo / x, rtol=1e-12)
 
     def test_exp_growth_interior_rows(self):
@@ -434,9 +457,8 @@ class TestInvariant:
 
     def test_zero_init_rejected(self):
         m1 = build_drift_redistribute("m1", n_cells=50)
-        zero = DensityPair(GridDensity.zero(m1.grid), np.zeros(1))
         with pytest.raises(ValueError):
-            invariant_of_K(m1, init=zero)
+            invariant_of_K(m1, init=zero_pair(m1))
 
 
 class TestLiftAndProjection:
@@ -456,6 +478,16 @@ class TestLiftAndProjection:
         l1 = float(np.abs(back.interior.values - res.pair.interior.values) @ m1.grid.weights)
         assert l1 < 1e-6
 
+    def test_lift_without_mass_is_refused(self):
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        with pytest.raises(DivergentIntegralError, match="not normalizable"):
+            lift_invariant(m1, zero_pair(m1))
+
+    def test_projection_without_jump_activity_is_refused(self):
+        m2 = build_drift_redistribute("m2", n_cells=50)
+        with pytest.raises(ValueError, match="no jump activity"):
+            project_invariant(m2, GridDensity.uniform(m2.grid))
+
     def test_m3_lift_reproduces_jump_density(self):
         # pure jump at constant rate: f* equals the chain's invariant density
         m3 = build_drift_redistribute("m3", n_cells=100, q=3.0)
@@ -474,3 +506,8 @@ class TestDefect:
     def test_jumpless_model_loses_everything(self):
         m2 = build_drift_redistribute("m2", n_cells=100)
         assert k_stochasticity_defect(m2, uniform_pair(m2)) == 1.0
+
+    def test_zero_pair_is_refused(self):
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        with pytest.raises(ValueError, match="pair must have positive mass"):
+            k_stochasticity_defect(m1, zero_pair(m1))

@@ -46,6 +46,12 @@ class TestSimulate:
         assert np.all(vals >= 0)
         assert {r[1] for r in rows[1:]} == {"0"}
 
+    def test_integral_float_entries_are_read_as_integers(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert main([str(cfg_path), "simulate", "--out", str(out),
+                     "--t", "0.5", "--paths", "2e2", "--seed", "4.0"]) == 0
+        assert read_summary(out)["seed"] == 4
+
     def test_seed_override_changes_histogram(self, cfg_path, tmp_path):
         outs = []
         for seed in ("3", "4"):
@@ -132,9 +138,19 @@ class TestErrorHandling:
         ["--task.init", '{"kind": "point"}'],
         ["--task.init", '{"kind": "point", "coords": [0.5, 1.0]}'],
         ["--model.params.n_cells", "0"],
+        ["--paths", "2.5"],
+        ["--paths", "true"],
+        ["--paths", "1e400"],
+        ["--seed", "1.5"],
+        ["--seed", "false"],
+        ["--task.init", '{"kind": "point", "coords": [0.5], "mode": 0.5}'],
+        ["--task.max_iters", "2.5"],
+        ["--task.max_terms", "true"],
     ])
     def test_unreadable_config_values(self, cfg_path, tmp_path, override):
-        subcommand = "evolve" if "--dt" in override else "simulate"
+        readers = {"--dt": "evolve", "--task.max_iters": "invariant",
+                   "--task.max_terms": "resolvent"}
+        subcommand = next((readers[flag] for flag in override if flag in readers), "simulate")
         assert main([str(cfg_path), subcommand, "--out", str(tmp_path), *override]) == 1
 
     def test_internal_errors_propagate(self, cfg_path, tmp_path, monkeypatch):

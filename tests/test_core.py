@@ -18,6 +18,7 @@ from pdmpkit.core import (
     ModelError,
     PdmpModel,
     StatePoint,
+    _csr_rows,
     advance,
     cocycle,
     gauss3,
@@ -93,6 +94,32 @@ class TestAxesAndGrid:
         far = grid.interpolate(vals, np.array([[1.2], [-0.2]]), 0)
         np.testing.assert_array_equal(far, [0.0, 0.0])
 
+    @pytest.mark.parametrize("faces", [[0.0, 1.0, 3.0], [1.0, 0.0], [0.0, 0.0],
+                                       [0.0, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf]],
+                             ids=["unequal", "decreasing", "flat", "nan", "nan last", "inf"])
+    def test_continuous_axis_refuses_faces_it_cannot_describe(self, faces):
+        # cells are located and weighed by faces[1] - faces[0] alone
+        with pytest.raises(ValueError, match="finite, increasing and equally spaced"):
+            ContinuousAxis(faces)
+
+    def test_continuous_axis_takes_roundoff_spacing(self):
+        ContinuousAxis(np.linspace(-3.0, 7.0, 2001))
+        ContinuousAxis([0.0, 0.1, 0.2, 0.30000000000000004])
+
+    @pytest.mark.parametrize("values, weights, message", [
+        ([0.0, 1.0], [1.0, np.nan], "weights must be finite and positive"),
+        ([0.0, 1.0], [np.inf, 1.0], "weights must be finite and positive"),
+        ([0.0, 1.0], [1.0, 0.0], "weights must be finite and positive"),
+        ([0.0, np.nan], [1.0, 1.0], "values must be finite"),
+        ([0.0, np.inf], [1.0, 1.0], "values must be finite"),
+        ([1.0, 0.0, 1.0], [1.0, 1.0, 1.0], "values must be distinct"),
+        ([1.0, 1.0 + 1e-12], [1.0, 1.0], "values must be distinct"),
+    ], ids=["nan weight", "inf weight", "zero weight", "nan value", "inf value", "repeated",
+            "within roundoff"])
+    def test_discrete_axis_refuses_what_nearest_cannot_tell(self, values, weights, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteAxis(values, weights)
+
     def test_two_mode_offsets(self):
         b0 = ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 4)])
         b1 = ModeBlock(1, [ContinuousAxis.uniform(0.0, 1.0, 4),
@@ -110,13 +137,16 @@ class TestAxesAndGrid:
         probes = np.column_stack([rng.uniform(c[:, 0].min(), c[:, 0].max(), 50),
                                   rng.uniform(c[:, 1].min(), c[:, 1].max(), 50)])
         probes[:3] = c[[0, 17, -1]]
-        P = block.interpolation_matrix(probes)
+        P = _csr_rows(*block.corners(probes), block.n_cells)
         assert P.shape == (50, block.n_cells)
         linear = lambda X: 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.5
         np.testing.assert_allclose(P @ linear(c), linear(probes), rtol=1e-12)
         np.testing.assert_allclose(P @ np.ones(block.n_cells), 1.0, rtol=1e-14)
-        np.testing.assert_array_equal(block.interpolate(linear(c), probes), P @ linear(c))
-        assert block.interpolation_matrix(np.zeros((0, 2))).shape == (0, block.n_cells)
+        grid = InteriorGrid([block])
+        np.testing.assert_array_equal(grid.interpolate(linear(c), probes, 0), P @ linear(c))
+        assert grid.interpolate(linear(c), np.zeros((0, 2)), 0).shape == (0,)
+        empty = _csr_rows(*block.corners(np.zeros((0, 2))), block.n_cells)
+        assert empty.shape == (0, block.n_cells)
 
     def test_interpolation_matrix_ghost_zeros_and_discrete_misses(self):
         block = ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 10),
@@ -128,21 +158,13 @@ class TestAxesAndGrid:
             [0.5, 0.5],     # off the discrete axis
             [0.55, -1.0],   # a cell center
         ])
-        P = block.interpolation_matrix(probes)
+        idx, w = block.corners(probes)
+        assert idx.shape == w.shape == (5, 2)  # the continuous axis doubles, the discrete keeps
+        P = _csr_rows(idx, w, block.n_cells)
         np.testing.assert_allclose(P @ np.ones(block.n_cells), [0.5, 0.0, 0.0, 0.0, 1.0],
                                    rtol=1e-12)
         np.testing.assert_array_equal(abs(P).sum(axis=1).A1[1:4], 0.0)
         assert P[4].toarray().ravel().tolist() == [0.0] * 10 + [1.0] + [0.0] * 9
-
-    def test_corners_match_the_interpolation_matrix(self):
-        block = ModeBlock(1, [ContinuousAxis.uniform(0.0, 1.0, 4),
-                              DiscreteAxis(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))])
-        probes = np.array([[0.3, 1.0], [0.9, -1.0]])
-        idx, w = block.corners(probes)
-        assert idx.shape == w.shape == (2, 2)
-        values = np.arange(8.0)
-        np.testing.assert_array_equal((w * values[idx]).sum(axis=1),
-                                      block.interpolation_matrix(probes) @ values)
 
 
 class TestNearest:
@@ -360,7 +382,7 @@ def test_gauss3_is_exact_for_quintics():
 def test_boundary_grid_empty():
     g = BoundaryGrid.empty(2, 0)
     assert g.n_cells == 0
-    assert g.total_measure == 0.0
+    assert g.weights.sum() == 0.0
 
 
 def test_boundary_axis_must_reproduce_the_points():

@@ -172,7 +172,7 @@ class TestCellCycleModel:
         # at (x, y) integrates 1 over the min(x, y) the orbit spends inside
         # the grid, and reaches the inflow boundary only when y <= x
         m = build_cell_cycle(CellCycleParams(n_x=40, x_max=8.0, n_y=4))
-        X = np.vstack([m.grid.centers(1), m.gamma_plus.points])
+        X = np.vstack([m.grid.block(1).centers, m.gamma_plus.points])
         rows = chain._rows(m, 1, X, 0.0)
         rows, b_rows = rows[:, :m.grid.n_cells], rows[:, m.grid.n_cells:]
         np.testing.assert_allclose(rows.sum(axis=1).A1, np.minimum(X[:, 0], X[:, 1]),

@@ -84,6 +84,11 @@ class TestTransport:
         with pytest.raises(ValueError):
             transport_step(m1, GridDensity.uniform(m1.grid), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_dt_must_be_finite(self, m1, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            transport_step(m1, GridDensity.uniform(m1.grid), dt)
+
 
 class TestTraces:
     def test_linear_density_traces(self, m1):
@@ -155,6 +160,11 @@ class TestEvolve:
             evolve(m1, f, 1.0, 0.0)
         with pytest.raises(ValueError):
             evolve(m1, f, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t, dt", [(math.inf, 0.01), (math.inf, math.inf), (math.nan, 0.01)])
+    def test_non_finite_times_rejected(self, m1, t, dt):
+        with pytest.raises(ValueError, match="need 0 < dt <= t < inf"):
+            evolve(m1, GridDensity.uniform(m1.grid), t, dt)
 
     @pytest.mark.xfail(strict=True, reason="evolve books the mass that crosses the outer face "
                        "x = x_max as outflux on Gamma+, and the jump law re-injects it")
@@ -306,6 +316,12 @@ class TestResolvent:
     def test_positive_discount_required(self, m1):
         with pytest.raises(ValueError):
             resolvent_G(m1, GridDensity.uniform(m1.grid), 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_finite_discount_required(self, m1, lam):
+        # NaN passed lam <= 0 and came back converged with a zero density
+        with pytest.raises(ValueError, match="positive, finite discount"):
+            resolvent_G(m1, GridDensity.uniform(m1.grid), lam)
 
     def test_m3_closed_form(self):
         # pure jump with uniform restart from a uniform input: no redistribution

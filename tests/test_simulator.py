@@ -140,7 +140,8 @@ class TestSampleFromDensity:
 
     def test_zero_density_rejected(self, m1):
         with pytest.raises(ValueError):
-            sample_from_density(m1, GridDensity.zero(m1.grid), np.random.default_rng(0))
+            sample_from_density(m1, GridDensity(m1.grid, np.zeros(m1.grid.n_cells)),
+                                np.random.default_rng(0))
 
 
 class TestEstimateDensity:
@@ -211,6 +212,44 @@ class TestEstimateDensity:
             simulate_ensemble(bad, GridDensity.uniform(bad.grid), 2.0, 100, 3)
         with pytest.raises(ModelError, match=f"mode {mode} is not declared"):
             simulate_path(bad, StatePoint(np.array([0.5]), 0), 2.0, np.random.default_rng(3))
+
+    def test_nan_holding_time_raises(self, m3):
+        bad = dataclasses.replace(m3, inverse_hazard=lambda X, m, xi: np.full(xi.shape, np.nan))
+        with pytest.raises(ModelError, match="holding time of 'm3' is NaN"):
+            estimate_density(bad, GridDensity.uniform(bad.grid), 1.0, 10, 3)
+
+    @pytest.mark.parametrize("post, message", [
+        (lambda X: X[1:].copy(), "returned shapes"),  # one state short
+        (lambda X: np.hstack([X, X]), "returned 2-d states in mode 0"),
+    ], ids=["shape", "dimension"])
+    def test_sampler_of_the_wrong_shape_raises(self, m1, post, message):
+        def sample(X, mode, rng):
+            return post(X), np.zeros(X.shape[0], dtype=np.int64)
+
+        bad = dataclasses.replace(m1, jump=dataclasses.replace(m1.jump, sample=sample))
+        with pytest.raises(ModelError, match=message):
+            estimate_density(bad, GridDensity.uniform(bad.grid), 2.0, 100, 3)
+
+    def test_no_paths_are_refused(self, m1):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            estimate_density(m1, GridDensity.uniform(m1.grid), 1.0, 0, 3)
+
+    def test_empty_interior_grid_is_refused(self):
+        m2 = build_drift_redistribute("m2", n_cells=50)
+        empty = dataclasses.replace(m2, grid=InteriorGrid([ModeBlock(0, [DiscreteAxis([], [])])]))
+        with pytest.raises(ValueError, match="empty interior grid"):
+            estimate_density(empty, StatePoint(np.array([0.5]), 0), 1.0, 10, 3)
+
+    def test_slab_sampler_refuses_a_mass_losing_wall(self):
+        # the walls send back half of what reaches them
+        slab = build_kinetic_slab(KineticSlabParams(n_x=20, boundary=[[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(ModelError, match="mass-losing wall"):
+            simulate_path(slab, StatePoint(np.array([0.5, 1.0]), 0), 2.0, np.random.default_rng(0))
+
+    def test_slab_sampler_refuses_a_collision_without_a_kernel(self):
+        slab = build_kinetic_slab(KineticSlabParams(n_x=20))
+        with pytest.raises(ModelError, match="no jump mechanism"):
+            slab.jump.sample(np.array([[0.5, 1.0]]), 0, np.random.default_rng(0))
 
     def test_negative_declared_mode_is_refused(self):
         with pytest.raises(ModelError, match="numbered from 0"):
