@@ -101,35 +101,45 @@ def _segments(model: PdmpModel, mode: int, X: np.ndarray, end: np.ndarray, spans
     (entries per row, cells, weights), each row's entries in orbit order.
 
     ``spans`` holds, per continuous axis, the first interior face each orbit
-    crosses and how many it crosses."""
+    meets, the step (+1 or -1) to the next one and how many it crosses."""
     n = X.shape[0]
-    rows, times = [np.arange(n), np.arange(n)], [np.zeros(n), end]
-    for k, first, count in spans:
+    # per row: its start, its crossings axis by axis in the order the orbit meets them, its end
+    rows, times = [np.arange(n)], [np.zeros(n)]
+    for k, first, step, count in spans:
         r = np.repeat(np.arange(n), count)
-        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(r.size)
-        t = _face_times(model, X[r], mode, k, j)
-        inside = t < end[r]
-        rows.append(r[inside])
-        times.append(t[inside])
+        j = np.repeat(first - step * (np.cumsum(count) - count), count) \
+            + np.repeat(step, count) * np.arange(r.size)
+        t = _face_times(model, X.take(r, axis=0), mode, k, j)
+        inside = t < end.take(r)
+        rows.append(r.compress(inside))
+        times.append(t.compress(inside))
+    rows.append(np.arange(n))
+    times.append(end)
     rows, times = np.concatenate(rows), np.concatenate(times)
-    order = np.lexsort((times, rows))
-    rows, times = rows[order], times[order]
-    exponent = lam * times + orbit_hazard(model, model.flow.phi(-times, X[rows], mode), mode, times)
+    order = np.argsort(rows, kind="stable")
+    rows, times = rows.take(order), times.take(order)
     seg = np.flatnonzero(rows[1:] == rows[:-1])
-    r, t0, t1 = rows[seg], times[seg], times[seg + 1]
-    cells = model.grid.locate(model.flow.phi(-0.5 * (t0 + t1), X[r], mode), mode)
+    t0, t1 = times.take(seg), times.take(seg + 1)
+    if (t1 < t0).any():  # a row that crosses faces on two axes: merge them by time
+        order = np.lexsort((times, rows))
+        rows, times = rows.take(order), times.take(order)
+        t0, t1 = times.take(seg), times.take(seg + 1)
+    exponent = lam * times + orbit_hazard(model, model.flow.phi(-times, X.take(rows, axis=0), mode),
+                                          mode, times)
+    r = rows.take(seg)
+    cells = model.grid.locate(model.flow.phi(-0.5 * (t0 + t1), X.take(r, axis=0), mode), mode)
     keep = (cells >= 0) & (t1 > t0)
-    r, t0, t1, seg = r[keep], t0[keep], t1[keep], seg[keep]
-    de = np.maximum(exponent[seg + 1] - exponent[seg], 0.0)
+    r, t0, t1, seg = r.compress(keep), t0.compress(keep), t1.compress(keep), seg.compress(keep)
+    de = np.maximum(exponent.take(seg + 1) - exponent.take(seg), 0.0)
     n_sub = np.minimum(np.ceil(de / _MAX_EXP_STEP).astype(np.int64) + 1, 2000)
 
     def integrand(ts, s):
-        Xs = X[r[s]]
+        Xs = X.take(r.take(s), axis=0)
         jb = np.asarray(model.flow.jac(-ts, Xs, mode), dtype=float)
         hazard = orbit_hazard(model, model.flow.phi(-ts, Xs, mode), mode, ts)
         return np.exp(-(lam * ts + hazard)) * jb
 
-    return np.bincount(r, minlength=n), cells[keep], gauss3(t0, t1, n_sub, integrand)
+    return np.bincount(r, minlength=n), cells.compress(keep), gauss3(t0, t1, n_sub, integrand)
 
 
 def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
@@ -178,12 +188,15 @@ def _rows(model: PdmpModel, mode: int, X: np.ndarray, lam: float, sweep=None):
         lo, hi = np.minimum(X[:, k], Z[:, k]), np.maximum(X[:, k], Z[:, k])
         first = np.maximum(np.searchsorted(ax.faces, lo, side="right"), 1)
         count = np.maximum(np.minimum(np.searchsorted(ax.faces, hi, side="left"), ax.n) - first, 0)
-        spans.append((k, first, count))
+        down = Z[:, k] < X[:, k]  # the orbit meets the faces from the top one down
+        spans.append((k, np.where(down, first + count - 1, first), np.where(down, -1, 1), count))
         crossings += count
     batch = np.cumsum(6 * (crossings + 1)) // _BATCH_NODES
+    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1).tolist(), n]
     counts, cells, weights = map(np.concatenate, zip(*(
-        _segments(model, mode, X[b], end[b], [(k, f[b], c[b]) for k, f, c in spans], lam)
-        for b in np.split(np.arange(n), np.flatnonzero(np.diff(batch)) + 1))))
+        _segments(model, mode, X[b], end[b], [(k, *(a[b] for a in span)) for k, *span in spans],
+                  lam)
+        for b in map(slice, cuts[:-1], cuts[1:]))))
 
     # orbits that end on the inflow boundary pick up its density there, orbits
     # stopped by an interior face of the swept axis R0 at the face points
@@ -292,21 +305,29 @@ def _pair(model: PdmpModel, x: np.ndarray) -> DensityPair:
     return DensityPair(GridDensity(model.grid, x[:model.grid.n_cells]), x[model.grid.n_cells:])
 
 
+def _stacked(model: PdmpModel, pair: DensityPair) -> np.ndarray:
+    """The pair as one vector over the model's (interior cells | inflow-boundary cells)."""
+    sizes = pair.interior.values.size, pair.boundary.size
+    if sizes != (model.grid.n_cells, model.gamma_minus.n_cells):
+        raise ValueError(f"a pair of {sizes[0]} interior and {sizes[1]} boundary values does not "
+                         f"fit {model.name!r}, which has {model.grid.n_cells} interior and "
+                         f"{model.gamma_minus.n_cells} inflow-boundary cells")
+    return np.concatenate([pair.interior.values, pair.boundary])
+
+
 def apply_R0(model: PdmpModel, pair: DensityPair, lam: float = 0.0):
     """Discounted backward line integral of a density pair.
 
     Returns (interior: GridDensity with the R0 values on the interior grid,
     outflux: values of the R0 trace on the outgoing-boundary cells).
     """
-    x = np.concatenate([pair.interior.values, pair.boundary])
-    r_int, r_out = ChainOperator(model, lam).r0(x)
+    r_int, r_out = ChainOperator(model, lam).r0(_stacked(model, pair))
     return GridDensity(model.grid, r_int), r_out
 
 
 def apply_K(model: PdmpModel, pair: DensityPair, lam: float = 0.0) -> DensityPair:
     """One step of the (discounted) embedded jump chain on densities."""
-    x = np.concatenate([pair.interior.values, pair.boundary])
-    return _pair(model, ChainOperator(model, lam) @ x)
+    return _pair(model, ChainOperator(model, lam) @ _stacked(model, pair))
 
 
 @dataclass
@@ -338,10 +359,11 @@ def invariant_of_K(
     """
     if init is None:
         init = DensityPair(GridDensity.uniform(model.grid), np.zeros(model.gamma_minus.n_cells))
+    x = _stacked(model, init)
     if init.norm(model) <= 0:
         raise ValueError("initial pair must have positive mass")
     op = ChainOperator(model, 0.0)
-    x = np.concatenate([init.interior.values, init.boundary]) / init.norm(model)
+    x = x / init.norm(model)
     kx = op @ x
     mass = op.mass(kx)
     if mass < 1e-8:

@@ -47,14 +47,16 @@ class ConfigError(PdmpError):
 
 
 def _field(node: dict, key: str, default, kind=float, low=0):
-    """The entry under ``key`` (or ``default``) as ``kind``, above ``low`` if set."""
+    """The entry under ``key`` (or ``default``) as ``kind``, above ``low`` if set,
+    and below inf unless ``low`` is -inf: a time, a step, a discount or a chain
+    tolerance must be finite, while a verify tolerance of inf means no bound."""
     value = node.get(key, default)
     try:
         out = kind(value)
         # int() reads true as 1 and cuts 2.5 to 2: an int entry must be an integer
         if kind is int and (isinstance(value, bool) or (isinstance(value, float) and out != value)):
             raise ValueError
-        if low is None or out > low:
+        if low is None or (out > low and (low == -np.inf or out < np.inf)):
             return out
     except (TypeError, ValueError, OverflowError):
         pass

@@ -216,7 +216,8 @@ def _sample_jumps(model: PdmpModel, X: np.ndarray, mode: int, parts):
             raise ModelError(
                 f"jump sampler of {model.name!r} returned {Xn.shape[1]}-d states in mode {m}"
             )
-        ok = np.asarray(model.in_state_space(Xn if len(post_modes) == 1 else Xn[modes == m], m))
+        Xm = Xn if len(post_modes) == 1 else Xn.compress(modes == m, axis=0)
+        ok = np.asarray(model.in_state_space(Xm, m))
         if not ok.all():
             bad = np.flatnonzero(modes == m)[np.argmin(ok)]
             raise ModelError(
@@ -277,7 +278,7 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
         for m in np.flatnonzero(np.bincount(live_modes)).tolist():
             k = np.flatnonzero(live_modes == m)
             rows = live[k]
-            Xm = X[rows]
+            Xm = X.take(rows, axis=0)
             sigma, tp = _holding(model, Xm, m, xi[k])
             t0 = clock[rows]
             end = t0 + sigma
@@ -289,10 +290,10 @@ def _run_paths(model: PdmpModel, X: np.ndarray, modes: np.ndarray, t: float,
             dt[dt == math.inf] = 0.0  # no event and t = inf: nowhere to flow to
             X[rows] = Y = _flow_step(model, Xm, m, dt, tp)
             if go.any():
-                r, pre = rows[go], Y[go]
+                r, pre = rows[go], Y.compress(go, axis=0)
                 X[r], modes[r] = _sample_jumps(model, pre, m, _chunk_parts(r, rngs))
                 if event is not None:
-                    event(r, end[go], (sigma == tp)[go], m, pre, X[r], modes[r])
+                    event(r, end[go], (sigma == tp)[go], m, pre, X.take(r, axis=0), modes[r])
                 clock[r] = end[go]
                 jumps[r] += 1
                 jumped.append(r)
@@ -357,7 +358,7 @@ def simulate_ensemble(
     for X, modes, cut in _run_chunks(model, init, t, n_paths, seed, max_jumps):
         censored += int(cut.sum())
         for m in np.flatnonzero(np.bincount(modes[~cut])).tolist():
-            idx = model.grid.locate(X[~cut & (modes == m)], m)
+            idx = model.grid.locate(X.compress(~cut & (modes == m), axis=0), m)
             left += int((idx < 0).sum())
             counts += np.bincount(idx[idx >= 0], minlength=counts.size)
     return Ensemble(counts, censored, left)

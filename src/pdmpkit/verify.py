@@ -234,7 +234,7 @@ def resolvent_duality(
         n_sub = np.clip((lam * length / 0.5).astype(np.int64) + 1, 1, 200)
 
         def integrand(s, seg):
-            at = model.flow.phi(s, X[seg], mode)
+            at = model.flow.phi(s, X.take(seg, axis=0), mode)
             inside = model.grid.locate(at, mode) >= 0
             return np.exp(-lam * (t0[seg] + s)) * np.asarray(psi(at, mode)) * inside
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import warnings
 import weakref
 
@@ -114,6 +115,18 @@ class TestR0:
             with pytest.raises(ValueError, match="discount must be nonnegative and finite"):
                 apply_R0(m1, uniform_pair(m1), lam)
         assert m1 not in chain._CACHE
+
+    @pytest.mark.parametrize("call", [
+        lambda m, pair: apply_R0(m, pair, 0.5),
+        lambda m, pair: apply_K(m, pair, 0.5),
+        lambda m, pair: invariant_of_K(m, init=pair),
+    ], ids=["apply_R0", "apply_K", "invariant_of_K"])
+    def test_pair_whose_boundary_does_not_fit_the_model_is_refused(self, call):
+        # m1 has one inflow-boundary cell
+        m1 = build_drift_redistribute("m1", n_cells=50)
+        pair = DensityPair(GridDensity.uniform(m1.grid), np.zeros(2))
+        with pytest.raises(ValueError, match="2 boundary values does not fit 'm1'"):
+            call(m1, pair)
 
     def test_negative_discount_is_refused(self):
         m1 = build_drift_redistribute("m1", n_cells=50)
@@ -348,6 +361,58 @@ class TestSweep:
         rows, face_rows, lu = chain._matrices(model, 0.0)
         stored = [rows, face_rows, lu.L, lu.U]
         assert sum(m.nnz for m in stored) < 400_000
+
+
+def _csr_digest(m):
+    h = hashlib.sha256()
+    for a in (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_DIGEST_MODELS = {
+    "m1": lambda: build_drift_redistribute("m1", n_cells=200),
+    "diffuse slab": lambda: _slab("diffuse"),
+    "cell cycle 200x20": lambda: build_cell_cycle(CellCycleParams(n_x=200, x_max=20.0, n_y=20)),
+}
+
+# (model, discount, sha256 of rows, sha256 of face_rows): each over data, indices
+# and indptr (both as int64), taken when every row's breakpoints were lexsorted
+_FACTOR_DIGESTS = [
+    ("m1", 0.0, "b2ad52f9b3431f100674fdc1db9481155b2750c6c6605a8d251a7276ef0f3758",
+     "7f53fc4bfe17dd1e50749168575d5ccfc5c1a19ab357993109b084d4304f6a2e"),
+    ("m1", 1.0, "ea972af835794062b2d70861a17a40c73e08af76c905935a77f08257300720f4",
+     "5340018766f0dac31827df9fe93afc729fb7b88902ee9570fd02ba373804df8e"),
+    ("diffuse slab", 0.0, "3821109ba89cae6631f52e1092237e03218fa167705868c6d7b201a825cab4f7",
+     "91f43aca6229bc3212c66f8c648bd8607328c309a1b4e80c255fc81d7f361dcd"),
+    ("diffuse slab", 1.0, "457303338f4d28f79ebba35dbf7e0cae99f21f57956db51d40991f0461b14093",
+     "dcda6bde17d6ac8c09b0fd5e0ab462ccf51c2a7f00a2a175464ef2c983d21468"),
+    ("cell cycle 200x20", 0.0,
+     "5bc10e9b0da0a4c09956e6484eabb7b35d5e4e9ed6c1ad16f17796a562bd8d41",
+     "7d4794246130e448daf4cf13051315c065eb067be7edf11dd33233b043c487a9"),
+    ("cell cycle 200x20", 1.0,
+     "854d1b09f81ba5acfe859f606259c5656ff16fa4574efa8b5b6e01d53b28de24",
+     "5fafd8820a33a0c207d73f93c4656205e5f1f70d7b45c3c164c38064f4bffdde"),
+]
+
+
+class TestFactorBytes:
+    """R0's factors keep their bytes: the row builder's arithmetic is pinned."""
+
+    @pytest.mark.parametrize("name, lam, rows_want, face_want", _FACTOR_DIGESTS,
+                             ids=[f"{c[0]}-{c[1]}" for c in _FACTOR_DIGESTS])
+    def test_swept_factors_keep_their_bytes(self, name, lam, rows_want, face_want):
+        rows, face_rows, _ = chain._matrices(_DIGEST_MODELS[name](), lam)
+        assert (_csr_digest(rows), _csr_digest(face_rows)) == (rows_want, face_want)
+
+    # whole phase-II rows cross faces on both axes, so their breakpoints need a merge
+    @pytest.mark.parametrize("lam, want", [
+        (0.0, "553c0c666863c659ffde2e2f88e70d6c7e06987202a7b5a3c3c2994eadcb7b93"),
+        (1.0, "55e7ea3f4bf2da48815d7e857762f240ae5f00681d8e6b95353f0afcad537258"),
+    ])
+    def test_whole_phase_two_rows_keep_their_bytes(self, lam, want):
+        model = _DIGEST_MODELS["cell cycle 200x20"]()
+        assert _csr_digest(chain._rows(model, 1, model.grid.block(1).centers, lam)) == want
 
 
 class TestK:

@@ -103,6 +103,14 @@ class TestOtherSubcommands:
         res = read_summary(out2)["residuals"]
         assert res["mc_vs_pde_l1_exceeds"] == 1e-9
 
+    def test_verify_tolerance_may_be_infinite(self, cfg_path, tmp_path):
+        # an infinite tolerance is no bound: it passes, where inf as a time fails
+        rc = main([str(cfg_path), "verify", "--out", str(tmp_path), "--task.n_paths", "2000",
+                   "--tolerances.mc_vs_pde_l1", "inf", "--tolerances.mc_vs_pde_defect_gap",
+                   "Infinity"])
+        assert rc == 0
+        assert not any(k.endswith("_exceeds") for k in read_summary(tmp_path)["residuals"])
+
 
 class TestErrorHandling:
     def test_missing_config(self, tmp_path):
@@ -146,10 +154,16 @@ class TestErrorHandling:
         ["--task.init", '{"kind": "point", "coords": [0.5], "mode": 0.5}'],
         ["--task.max_iters", "2.5"],
         ["--task.max_terms", "true"],
+        ["--t", "inf"],
+        ["--t", "Infinity", "--dt", "Infinity"],
+        ["--lam", "inf"],
+        ["--task.tol", "inf"],
+        ["--lam", "nan"],
     ])
     def test_unreadable_config_values(self, cfg_path, tmp_path, override):
         readers = {"--dt": "evolve", "--task.max_iters": "invariant",
-                   "--task.max_terms": "resolvent"}
+                   "--task.max_terms": "resolvent", "--lam": "resolvent",
+                   "--task.tol": "invariant"}
         subcommand = next((readers[flag] for flag in override if flag in readers), "simulate")
         assert main([str(cfg_path), subcommand, "--out", str(tmp_path), *override]) == 1
 

@@ -253,6 +253,12 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity(grid, np.array([1.0, -0.5, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pair_with_non_finite_boundary_values_rejected(self, bad):
+        grid = InteriorGrid([ModeBlock(0, [ContinuousAxis.uniform(0.0, 1.0, 4)])])
+        with pytest.raises(ValueError, match="boundary density values must be finite"):
+            DensityPair(GridDensity.uniform(grid), np.array([0.5, bad]))
+
     def test_pair_l1_is_the_hand_sum(self):
         model = exponential_growth_model()
         rng = np.random.default_rng(0)
